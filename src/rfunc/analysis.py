@@ -10,14 +10,13 @@ machine-readable report.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .core import (
     TOL,
-    DomainError,
     big_f_value,
     a_value,
     b_value,
@@ -27,7 +26,6 @@ from .core import (
     f_value,
     g_value,
     gamma_value,
-    r_first,
     r_second,
     r_value,
 )
@@ -315,43 +313,23 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     return rep
 
 
-@lru_cache(maxsize=None)
-def _tangent_natural(m, tol=1e-13) -> tuple[float, float, float, bool]:
+def _tangent_natural(m: int) -> tuple[float, float, float, bool]:
     """(lambda*, slope, R(lambda*), degenerate) in the natural-log convention.
 
-    lambda* solves the tangency condition R'(L)(m - L) = log m - R(L); the
-    residual T is negative left of lambda* and positive on the concave side,
-    with T(m) -> 0, so a sign scan followed by bisection is reliable.  When
-    no positive value exists (m = 2) the envelope is R itself.
+    Closed form (Terhal-Vollbrecht): gamma(lambda*) = (m-1)/m, so
+    lambda* = 4(m-1)/m and the line from there to (m, log m) has slope
+    log(m-1)/(m-2).  R(lambda*) = log m - ((m-2)/m) log(m-1) is written as
+    log1p(1/(m-1)) + 2 log(m-1)/m, which does not cancel at large m.  At
+    m = 2, lambda* = m, co(R) = R, and the slope is the limit 1 = R'(2-).
     """
-    m = check_dimension(m)
-    logm = float(np.log(m))
-
-    def residual(lam):
-        return r_first(lam, m, base="natural") * (m - lam) - (
-            logm - r_value(lam, m, base="natural"))
-
-    grid = np.linspace(1.0 + 1e-9, m - 1e-9, 4096)
-    tvals = residual(grid)
-    # In the degenerate case T <= 0 everywhere but is 0 at m in exact
-    # arithmetic, so roundoff can produce spurious positives of order eps;
-    # only values clearly above the noise floor count as a sign change.
-    pos = np.nonzero(tvals > 1e-12)[0]
-    if pos.size == 0:
-        slope = r_first(m - 1e-9, m, base="natural")
-        return float(m), slope, logm, True
-    k = int(pos[0])
-    j = k - 1
-    while j > 0 and residual(float(grid[j])) > 0.0:
-        j -= 1
-    root, _ = _bisect(residual, float(grid[j]), float(grid[j + 1]), tol)
-    return root, r_first(root, m, base="natural"), r_value(root, m, base="natural"), False
+    log_m1 = math.log(m - 1)
+    slope = log_m1 / (m - 2) if m > 2 else 1.0
+    value = math.log1p(1.0 / (m - 1)) + 2.0 * log_m1 / m
+    return 4.0 * (m - 1) / m, slope, value, m == 2
 
 
-def find_tangent(m, tol: float = 1e-13, base: str = "two") -> HullDescription:
+def find_tangent(m, base: str = "two") -> HullDescription:
     """Tangent abscissa lambda* and linear piece of the convex envelope."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lam_star, slope, val, degenerate = _tangent_natural(check_dimension(m))
     return HullDescription(lam_star, convert_base(slope, base),
                            convert_base(val, base), degenerate)
@@ -361,10 +339,10 @@ def hull_value(lam, m, base: str = "two"):
     """Convex envelope co(R): R up to lambda*, then the tangent line to (m, log m)."""
     lam = check_lambda(lam, m)
     m = int(m)
-    lam_star, slope, val, degenerate = _tangent_natural(m)
+    lam_star, slope, val, _ = _tangent_natural(m)
     arr = np.asarray(lam, dtype=float)
     out = np.empty_like(arr)
-    on_curve = degenerate | (arr <= lam_star)
+    on_curve = arr <= lam_star
     if np.any(on_curve):
         out[on_curve] = r_value(arr[on_curve], m, base="natural")
     if np.any(~on_curve):

@@ -35,7 +35,16 @@ EXIT_CERTIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_EVAL_CHOICES = ("R", "R1", "R2", "gamma", "g", "f", "hull")
+# which -> fn(lam, m, base); gamma, g and f are not entropies and ignore base
+_EVAL = {
+    "R": lambda lam, m, base: r_value(lam, m, base=base),
+    "R1": lambda lam, m, base: r_first(lam, m, base=base),
+    "R2": lambda lam, m, base: convert_base(r_second(lam, m), base),
+    "gamma": lambda lam, m, base: gamma_value(lam, m),
+    "g": lambda lam, m, base: g_value(lam, m),
+    "f": lambda lam, m, base: f_value(lam, m),
+    "hull": lambda lam, m, base: hull_value(lam, m, base=base),
+}
 
 
 def _default_base() -> str:
@@ -63,22 +72,7 @@ def _parse_m_range(text: str) -> list[int]:
 
 def _cmd_eval(args) -> int:
     m = check_dimension(args.m)
-    lam, base = args.lam, args.log
-    if args.which == "R":
-        value = r_value(lam, m, base=base)
-    elif args.which == "R1":
-        value = r_first(lam, m, base=base)
-    elif args.which == "R2":
-        value = convert_base(r_second(lam, m), base)
-    elif args.which == "gamma":
-        value = gamma_value(lam, m)
-    elif args.which == "g":
-        value = g_value(lam, m)
-    elif args.which == "f":
-        value = f_value(lam, m)
-    else:
-        value = hull_value(lam, m, base=base)
-    print(_fmt(value))
+    print(_fmt(_EVAL[args.which](args.lam, m, args.log)))
     return EXIT_OK
 
 
@@ -143,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one scalar function")
     p_eval.add_argument("--m", type=int, required=True)
     p_eval.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_eval.add_argument("--which", choices=_EVAL_CHOICES, required=True)
+    p_eval.add_argument("--which", choices=_EVAL, required=True)
     add_log(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 

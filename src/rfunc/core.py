@@ -54,8 +54,6 @@ class Tolerances:
 
     endpoint: float = 1e-12          # slack for lambda at the domain endpoints
     inflection_residual: float = 1e-10   # |g - f| at the reported inflection
-    tangency_residual: float = 1e-9      # tangency equation at lambda*
-    bisection: float = 1e-13         # bracket width target for root finding
     grid_left_offset: float = 1e-6   # guard against the log divergence at 1
     grid_right_offset: float = 1e-4  # guard against cancellation near m
 
@@ -77,7 +75,7 @@ def check_lambda(lam, m, tol: float = TOL.endpoint):
     """Validate lambda in [1, m]; values within tol of an endpoint are clipped."""
     m = check_dimension(m)
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 1.0 - tol) or np.any(lam > m + tol):
+    if not np.all((lam >= 1.0 - tol) & (lam <= m + tol)):  # NaN fails too
         raise DomainError(f"lambda outside domain [1, {m}]")
     lam = np.clip(lam, 1.0, float(m))
     return lam if lam.ndim else float(lam)

@@ -137,15 +137,20 @@ def lambda_of_state(rho: DensityMatrix) -> LambdaEstimate:
     return LambdaEstimate(ppt, ccnr, lam)
 
 
+def _check_fidelity(fidelity) -> float:
+    fidelity = float(fidelity)
+    if not 0.0 <= fidelity <= 1.0:
+        raise DomainError(f"fidelity must lie in [0, 1], got {fidelity}")
+    return fidelity
+
+
 def isotropic_eof(d, fidelity, base: str = "two") -> float:
     """Entanglement of formation of the d x d isotropic state with fidelity F.
 
     Zero for F <= 1/d (the separable regime); co(R) at lambda = d*F above.
     """
     d = check_dimension(d)
-    fidelity = float(fidelity)
-    if not 0.0 <= fidelity <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fidelity}")
+    fidelity = _check_fidelity(fidelity)
     if fidelity <= 1.0 / d:
         return 0.0
     return float(hull_value(d * fidelity, d, base=base))
@@ -166,9 +171,7 @@ def max_entangled_state(d) -> DensityMatrix:
 def isotropic_state(d, fidelity) -> DensityMatrix:
     """Isotropic state: F on the maximally entangled projector, rest uniform."""
     d = check_dimension(d)
-    fidelity = float(fidelity)
-    if not 0.0 <= fidelity <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fidelity}")
+    fidelity = _check_fidelity(fidelity)
     proj = max_entangled_state(d).matrix
     rest = (np.eye(d * d, dtype=complex) - proj) / (d * d - 1.0)
     return DensityMatrix((d, d), fidelity * proj + (1.0 - fidelity) * rest)

@@ -108,7 +108,8 @@ class TestCertifyProof:
 class TestTangent:
     @pytest.mark.parametrize("m", range(2, 41))
     def test_matches_conjectured_closed_form(self, m):
-        # lambda* = 4(m-1)/m, verified numerically rather than assumed
+        # lambda* = 4(m-1)/m is computed in closed form; the tangency
+        # equation and the brute-force hull_oracle check it independently
         assert find_tangent(m).lambda_star == pytest.approx(
             4.0 * (m - 1.0) / m, abs=1e-8)
 
@@ -116,8 +117,10 @@ class TestTangent:
         desc = find_tangent(2)
         assert desc.degenerate
         assert desc.lambda_star == 2.0
+        # the slope is the limit R'(2-) = 1 nat, i.e. log2(e) bits
+        assert desc.slope == pytest.approx(np.log2(np.e), rel=1e-6)
 
-    @pytest.mark.parametrize("m", [3, 5, 9, 24])
+    @pytest.mark.parametrize("m", [3, 5, 9, 24, 1000, 10**5])
     def test_tangency_equation(self, m):
         desc = find_tangent(m)
         assert not desc.degenerate
@@ -132,9 +135,17 @@ class TestTangent:
         lam0 = find_inflection(m).lambda0
         assert find_tangent(m).lambda_star <= lam0 + 1e-9
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            find_tangent(5, tol=-1.0)
+    @pytest.mark.parametrize("m", [3, 5, 64, 10**3, 10**5, 10**6])
+    def test_value_at_star_matches_mpmath(self, m):
+        # R(4(m-1)/m) from R's definition at 50 digits, in bits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(4) * (m - 1) / m
+            gam = (mpmath.sqrt(lam) + mpmath.sqrt((m - 1) * (m - lam))) ** 2 / m ** 2
+            ref = (-gam * mpmath.log(gam) - (1 - gam) * mpmath.log(1 - gam)
+                   + (1 - gam) * mpmath.log(m - 1)) / mpmath.log(2)
+            err = abs(find_tangent(m).value_at_star - ref) / ref
+        assert err <= 1e-14, f"relative error {float(err):.3e}"
 
 
 class TestHullValue:

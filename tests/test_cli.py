@@ -32,6 +32,13 @@ class TestEval:
         assert code == 2
         assert "domain [1, 5]" in err
 
+    def test_nan_lambda_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--m", "5", "--lambda", "nan",
+                             "--which", "R")
+        assert code == 2
+        assert out == ""
+        assert "domain [1, 5]" in err
+
     @pytest.mark.parametrize("which", ["R", "R1", "R2", "gamma", "g", "f", "hull"])
     def test_all_functions_print_a_number(self, capsys, which):
         code, out, _ = run(capsys, "eval", "--m", "6", "--lambda", "3.5",

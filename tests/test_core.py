@@ -12,6 +12,7 @@ from rfunc import (
     big_f_value,
     binary_entropy,
     c_value,
+    check_lambda,
     f_value,
     g_value,
     gamma_first,
@@ -79,6 +80,11 @@ class TestGamma:
             gamma_value(5.1, 5)
         with pytest.raises(DomainError):
             gamma_value(2.0, 1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, [2.0, np.nan]])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(DomainError):
+            check_lambda(lam, 5)
 
 
 class TestGammaDerivatives:
