@@ -17,6 +17,9 @@ import numpy as np
 
 from .core import (
     TOL,
+    _f,
+    _g,
+    _r,
     big_f_value,
     a_value,
     b_value,
@@ -41,8 +44,6 @@ __all__ = [
     "certify_proof",
     "find_tangent",
     "hull_value",
-    "hull_oracle",
-    "PiecewiseLinear",
 ]
 
 
@@ -109,30 +110,6 @@ class CertificateReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _bisect(func, lo, hi, tol):
-    """Plain bisection on a sign change; returns (root, iterations)."""
-    flo = func(lo)
-    fhi = func(hi)
-    if flo == 0.0:
-        return lo, 0
-    if fhi == 0.0:
-        return hi, 0
-    if np.sign(flo) == np.sign(fhi):
-        raise ValueError("bisection bracket does not straddle a sign change")
-    it = 0
-    while hi - lo > tol and it < 200:
-        mid = 0.5 * (lo + hi)
-        fm = func(mid)
-        if fm == 0.0:
-            return mid, it
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        it += 1
-    return 0.5 * (lo + hi), it
-
-
 def _sign_changes(values) -> int:
     s = np.sign(values)
     s = s[s != 0]
@@ -143,34 +120,36 @@ def _interior_grid(m, n):
     return np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset, n)
 
 
-def find_inflection(m, tol: float = 1e-12) -> InflectionResult:
+def find_inflection(m) -> InflectionResult:
     """Locate the unique zero lambda0 of R'' in (1, m).
 
-    For m >= 5 the zero is the solution of g = f in (1, m-1), bracketed by
-    the known signs at the edges (g -> -inf at 1, g(m-1) > -2 = f(m-1)).
-    For m in {3, 4} the zero can sit above m-1, so a grid scan of R''
-    isolates the sign change first.  For m = 2 there is no zero and the
-    result carries ``lambda0 = None``.
+    R'' = gamma'' (g - f) with gamma'' < 0, so lambda0 is the root of g = f,
+    found by bisection on a bracket where g - f goes from negative to
+    positive.  For m >= 5 the bracket is (1, m-1): g -> -inf at 1 and
+    g(m-1) > -2 = f(m-1).  For m in {3, 4} the root lies above m-1 (g - f is
+    -0.77 and -0.20 there) and below m - TOL.grid_right_offset (g - f is
+    about +5e-5 and +7e-5).  For m = 2, g < f on all of (1, 2) and the result
+    carries ``lambda0 = None``.
     """
     m = check_dimension(m)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if m >= 5:
         lo, hi = 1.0 + 1e-9, float(m - 1)
-        root, it = _bisect(lambda lam: g_value(lam, m) - f_value(lam, m),
-                           lo, hi, tol)
-        return InflectionResult(root, (lo, hi), it)
-
-    grid = _interior_grid(m, 10_000)
-    vals = r_second(grid, m)
-    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if idx.size == 0:
-        if m == 2:
-            return InflectionResult(None, (float(grid[0]), float(grid[-1])), 0)
-        raise ArithmeticError(f"no sign change of R'' found for m={m}")
-    lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
-    root, it = _bisect(lambda lam: r_second(lam, m), lo, hi, tol)
-    return InflectionResult(root, (lo, hi), it)
+    else:
+        lo, hi = float(m - 1), m - TOL.grid_right_offset
+    bracket, it = (lo, hi), 0
+    if m == 2:
+        return InflectionResult(None, bracket, it)
+    while hi - lo > 1e-12 and it < 200:
+        mid = 0.5 * (lo + hi)
+        diff = _g(mid, m) - _f(mid, m)
+        if diff == 0.0:
+            return InflectionResult(mid, bracket, it)
+        if diff < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        it += 1
+    return InflectionResult(0.5 * (lo + hi), bracket, it)
 
 
 def certify_unique_inflection(m, grid_size: int = 10_000):
@@ -236,16 +215,13 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     rep = CertificateReport(m)
     grid = _interior_grid(m, grid_size)
 
-    rep.add("gamma_at_one", "gamma(1) = 1",
-            abs(gamma_value(1.0, m) - 1.0), 1e-12,
-            abs(gamma_value(1.0, m) - 1.0) <= 1e-12)
-    rep.add("gamma_at_m", "gamma(m) = 1/m",
-            abs(gamma_value(float(m), m) - 1.0 / m), 1e-12,
-            abs(gamma_value(float(m), m) - 1.0 / m) <= 1e-12)
-    rep.add("r_at_one", "R(1) = 0",
-            abs(r_value(1.0, m)), 1e-12, abs(r_value(1.0, m)) <= 1e-12)
-    err_m = abs(r_value(float(m), m) - np.log2(m))
-    rep.add("r_at_m", "R(m) = log2(m)", err_m, 1e-12, err_m <= 1e-12)
+    def identity(name, claim, err):
+        rep.add(name, claim, err, 1e-12, err <= 1e-12)
+
+    identity("gamma_at_one", "gamma(1) = 1", abs(gamma_value(1.0, m) - 1.0))
+    identity("gamma_at_m", "gamma(m) = 1/m", abs(gamma_value(float(m), m) - 1.0 / m))
+    identity("r_at_one", "R(1) = 0", abs(r_value(1.0, m)))
+    identity("r_at_m", "R(m) = log2(m)", abs(r_value(float(m), m) - np.log2(m)))
 
     gam = gamma_value(grid, m)
     rep.add("gamma_nonincreasing", "gamma is nonincreasing on [1, m]",
@@ -260,8 +236,8 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     rep.add("r_second_positive_left_edge", "R''(1 + 1e-6) > 0",
             edge, 0.0, edge > 0.0)
 
-    fe = max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0))
-    rep.add("f_endpoints", "f(1) = f(m-1) = -2", fe, 1e-12, fe <= 1e-12)
+    identity("f_endpoints", "f(1) = f(m-1) = -2",
+             max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0)))
     fv = f_value(grid, m)
     d2f = np.diff(fv, 2)
     rep.add("f_convex", "second differences of f are nonnegative",
@@ -273,25 +249,20 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
         rep.add("g_increasing", "g strictly increasing on (1, m-1]",
                 float(np.min(np.diff(gv))), 0.0,
                 bool(np.all(np.diff(gv) > 0.0)))
+        log_ratio = np.log((m - 2.0) / (2.0 * (m - 1.0)))
         gm1 = g_value(float(m - 1), m)
-        closed_g = 2.0 * np.log((m - 2.0) / (2.0 * (m - 1.0)))
-        rep.add("g_at_m_minus_one_closed_form",
-                "g(m-1) = 2 log((m-2)/(2(m-1)))",
-                abs(gm1 - closed_g), 1e-12, abs(gm1 - closed_g) <= 1e-12)
+        identity("g_at_m_minus_one_closed_form", "g(m-1) = 2 log((m-2)/(2(m-1)))",
+                 abs(gm1 - 2.0 * log_ratio))
         rpp_m1 = r_second(float(m - 1), m)
-        closed_rpp = -(np.log((m - 2.0) / (2.0 * (m - 1.0))) + 1.0) / (m - 1.0)
-        rep.add("r_second_at_m_minus_one_closed_form",
-                "R''(m-1) = -(1/(m-1))(log((m-2)/(2(m-1))) + 1)",
-                abs(rpp_m1 - closed_rpp), 1e-12,
-                abs(rpp_m1 - closed_rpp) <= 1e-12)
-
-    if m >= 5:
-        rep.add("g_at_m_minus_one_above_minus_two", "g(m-1) > -2",
-                g_value(float(m - 1), m), -2.0,
-                g_value(float(m - 1), m) > -2.0)
-        rep.add("r_second_negative_at_m_minus_one", "R''(m-1) < 0",
-                r_second(float(m - 1), m), 0.0,
-                r_second(float(m - 1), m) < 0.0)
+        closed_rpp = -(log_ratio + 1.0) / (m - 1.0)
+        identity("r_second_at_m_minus_one_closed_form",
+                 "R''(m-1) = -(1/(m-1))(log((m-2)/(2(m-1))) + 1)",
+                 abs(rpp_m1 - closed_rpp))
+        if m >= 5:
+            rep.add("g_at_m_minus_one_above_minus_two", "g(m-1) > -2",
+                    gm1, -2.0, gm1 > -2.0)
+            rep.add("r_second_negative_at_m_minus_one", "R''(m-1) < 0",
+                    rpp_m1, 0.0, rpp_m1 < 0.0)
 
     count, ok = certify_unique_inflection(m, grid_size)
     expected = 0 if m == 2 else 1
@@ -337,53 +308,14 @@ def find_tangent(m, base: str = "two") -> HullDescription:
 
 def hull_value(lam, m, base: str = "two"):
     """Convex envelope co(R): R up to lambda*, then the tangent line to (m, log m)."""
-    lam = check_lambda(lam, m)
-    m = int(m)
+    lam, m = check_lambda(lam, m), int(m)
     lam_star, slope, val, _ = _tangent_natural(m)
-    arr = np.asarray(lam, dtype=float)
+    arr = np.asarray(lam)
     out = np.empty_like(arr)
     on_curve = arr <= lam_star
     if np.any(on_curve):
-        out[on_curve] = r_value(arr[on_curve], m, base="natural")
+        out[on_curve] = _r(arr[on_curve], m)
     if np.any(~on_curve):
         out[~on_curve] = val + slope * (arr[~on_curve] - lam_star)
     out = convert_base(out, base)
     return out if np.ndim(lam) else float(out)
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Piecewise-linear function through increasing abscissae (vertices of a hull)."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __call__(self, x):
-        return np.interp(x, self.xs, self.ys)
-
-
-def hull_oracle(m, samples: int = 100_000, base: str = "two") -> PiecewiseLinear:
-    """Brute-force envelope: lower convex hull of sampled (lambda, R) points.
-
-    Monotone-chain sweep over the sorted samples; serves as an independent
-    cross-check of ``hull_value`` (agreement degrades only with the O(h^2)
-    sagitta of the chords between samples).
-    """
-    m = check_dimension(m)
-    if samples < 1000:
-        raise ValueError("samples must be at least 1000")
-    xs = np.linspace(1.0, float(m), samples)
-    ys = r_value(xs, m, base=base)
-    hull: list[int] = []
-    for i in range(samples):
-        while len(hull) >= 2:
-            j, k = hull[-2], hull[-1]
-            # pop k when it lies on or above the chord j -> i
-            if ((xs[k] - xs[j]) * (ys[i] - ys[j])
-                    - (xs[i] - xs[j]) * (ys[k] - ys[j]) <= 0.0):
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    idx = np.array(hull)
-    return PiecewiseLinear(xs[idx], ys[idx])

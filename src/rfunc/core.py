@@ -5,6 +5,10 @@ all logarithms are natural; public entry points that return entropies accept a
 ``base`` argument ("two" or "natural") and convert once, by the factor
 log2(e).  All functions accept numpy arrays for their real argument and
 broadcast elementwise.
+
+Each public function validates its arguments once and then calls the private
+kernels below (``_omg``, ``_g``, ...), which take a lambda (or delta) that is
+already checked and clipped and an int m, and do no checking of their own.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "convert_base",
     "binary_entropy",
     "gamma_value",
-    "one_minus_gamma",
     "gamma_first",
     "gamma_second",
     "r_value",
@@ -61,6 +64,11 @@ class Tolerances:
 TOL = Tolerances()
 
 
+def _out(x):
+    # public functions return a float for a scalar argument
+    return x if np.ndim(x) else float(x)
+
+
 def check_dimension(m) -> int:
     """Validate the local dimension m (integer, at least 2)."""
     if not float(m).is_integer():
@@ -71,23 +79,22 @@ def check_dimension(m) -> int:
     return m
 
 
-def check_lambda(lam, m, tol: float = TOL.endpoint):
-    """Validate lambda in [1, m]; values within tol of an endpoint are clipped."""
+def check_lambda(lam, m):
+    """Validate lambda in [1, m]; values within TOL.endpoint of an endpoint are clipped."""
     m = check_dimension(m)
     lam = np.asarray(lam, dtype=float)
-    if not np.all((lam >= 1.0 - tol) & (lam <= m + tol)):  # NaN fails too
+    if not np.all((lam >= 1.0 - TOL.endpoint) & (lam <= m + TOL.endpoint)):  # NaN fails too
         raise DomainError(f"lambda outside domain [1, {m}]")
-    lam = np.clip(lam, 1.0, float(m))
-    return lam if lam.ndim else float(lam)
+    return _out(np.clip(lam, 1.0, float(m)))
 
 
 def check_delta(delta, m):
     """Validate delta in [0, 1); parametrizes lambda = m - 1 + delta."""
     check_dimension(m)
     delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0.0) or np.any(delta >= 1.0):
+    if not np.all((delta >= 0.0) & (delta < 1.0)):  # NaN fails too
         raise DomainError("delta outside domain [0, 1)")
-    return delta if delta.ndim else float(delta)
+    return _out(delta)
 
 
 def _check_base(base: str) -> str:
@@ -101,86 +108,95 @@ def convert_base(value, base: str):
     return value * LOG2E if _check_base(base) == "two" else value
 
 
-def binary_entropy(x, base: str = "two"):
-    """Binary entropy -x log x - (1-x) log(1-x), with 0 log 0 := 0.
+def _require(ok, message: str) -> None:
+    if not np.all(ok):
+        raise DomainError(message)
 
-    Uses the symmetry H2(x) = H2(1-x) so the log1p branch is always applied
-    to the argument closest to 1, which preserves precision as x -> 0 or 1.
-    """
-    _check_base(base)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -TOL.endpoint) or np.any(x > 1.0 + TOL.endpoint):
-        raise DomainError("binary_entropy argument outside [0, 1]")
-    x = np.clip(x, 0.0, 1.0)
-    small = np.minimum(x, 1.0 - x)
+
+def _h2(p):
+    # natural-log H2 through the symmetry H2(p) = H2(1-p): the log1p branch
+    # always gets the argument closest to 1, which keeps precision at 0 and 1
+    small = np.minimum(p, 1.0 - p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(small > 0.0,
-                     -small * np.log(np.where(small > 0.0, small, 1.0))
-                     - (1.0 - small) * np.log1p(-small),
-                     0.0)
-    h = convert_base(h, base)
-    return h if h.ndim else float(h)
+        return np.where(small > 0.0,
+                        -small * np.log(np.where(small > 0.0, small, 1.0))
+                        - (1.0 - small) * np.log1p(-small),
+                        0.0)
 
 
-def _uv(lam, m):
-    # u = sqrt((m-1) lambda), v = sqrt(m - lambda); gamma = 1 - ((lam-1)/(u+v))^2
-    u = np.sqrt((m - 1.0) * lam)
-    v = np.sqrt(m - lam)
-    return u, v
+def binary_entropy(x, base: str = "two"):
+    """Binary entropy -x log x - (1-x) log(1-x), with 0 log 0 := 0."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= -TOL.endpoint) & (x <= 1.0 + TOL.endpoint)):  # NaN fails too
+        raise DomainError("binary_entropy argument outside [0, 1]")
+    return _out(convert_base(_h2(np.clip(x, 0.0, 1.0)), base))
 
 
-def one_minus_gamma(lam, m):
-    """1 - gamma(lambda), computed without cancellation near lambda = 1.
+# Kernels on (lambda, m): lambda already checked and clipped, m an int.
 
-    Algebraically 1 - gamma = (sqrt((m-1)L) - sqrt(m-L))^2 / m^2 and the
-    difference of square roots equals m(L-1)/(sqrt((m-1)L) + sqrt(m-L)),
-    so the subtraction is exact in (L - 1).
-    """
-    lam = check_lambda(lam, m)
-    m = int(m)
-    u, v = _uv(lam, m)
-    x = ((lam - 1.0) / (u + v)) ** 2
-    return x if np.ndim(x) else float(x)
+def _w(lam, m):
+    # sqrt((m-1)L) + sqrt(m-L); the difference of the two roots is m(L-1)/w
+    return np.sqrt((m - 1.0) * lam) + np.sqrt(m - lam)
+
+
+def _omg(lam, m):
+    # 1 - gamma = (sqrt((m-1)L) - sqrt(m-L))^2 / m^2 = ((L-1)/w)^2, which is
+    # exact in (L - 1): no cancellation near lambda = 1
+    return ((lam - 1.0) / _w(lam, m)) ** 2
+
+
+def _gp(lam, m):
+    # (1/sqrt(L) - sqrt((m-1)/(m-L))) = (v - u)/sqrt(L(m-L)) with
+    # v - u = -m(L-1)/w; combined with the sqrt(gamma) prefactor.
+    return (-np.sqrt(1.0 - _omg(lam, m)) * (lam - 1.0)
+            / (_w(lam, m) * np.sqrt(lam * (m - lam))))
+
+
+def _gpp(lam, m):
+    return -0.5 * np.sqrt(m - 1.0) * (lam * (m - lam)) ** -1.5
+
+
+def _g(lam, m):
+    # log(1-gamma) expanded through the stable form to keep precision near 1.
+    return (2.0 * (np.log(lam - 1.0) - np.log(_w(lam, m)))
+            - np.log(m - 1.0)
+            - np.log1p(-_omg(lam, m)))
+
+
+def _f(lam, m):
+    return -2.0 * np.sqrt(lam * (m - lam) / (m - 1.0))
+
+
+def _r(lam, m):
+    # natural-log R
+    x = _omg(lam, m)
+    return _h2(1.0 - x) + x * np.log(m - 1.0)
 
 
 def gamma_value(lam, m):
     """gamma(lambda) = (sqrt(L) + sqrt((m-1)(m-L)))^2 / m^2, in [1/m, 1]."""
-    x = one_minus_gamma(lam, m)
-    return 1.0 - x
+    lam, m = check_lambda(lam, m), int(m)
+    return _out(1.0 - _omg(lam, m))
 
 
 def gamma_first(lam, m):
     """d gamma / d lambda; zero at lambda = 1, negative on (1, m)."""
-    lam = check_lambda(lam, m)
-    m = int(m)
-    if np.any(np.asarray(lam) >= m):
-        raise DomainError("gamma_first is singular at lambda = m")
-    u, v = _uv(lam, m)
-    # (1/sqrt(L) - sqrt((m-1)/(m-L))) = (v - u)/sqrt(L(m-L)) with
-    # v - u = -m(L-1)/(u+v); combined with the sqrt(gamma) prefactor.
-    gp = -np.sqrt(gamma_value(lam, m)) * (lam - 1.0) / (
-        (u + v) * np.sqrt(lam * (m - lam)))
-    return gp if np.ndim(gp) else float(gp)
+    lam, m = check_lambda(lam, m), int(m)
+    _require(lam < m, "gamma_first is singular at lambda = m")
+    return _out(_gp(lam, m))
 
 
 def gamma_second(lam, m):
     """Second derivative of gamma: -(sqrt(m-1)/2) (L(m-L))^(-3/2)."""
-    lam = check_lambda(lam, m)
-    m = int(m)
-    if np.any(np.asarray(lam) >= m):
-        raise DomainError("gamma_second is singular at lambda = m")
-    gpp = -0.5 * np.sqrt(m - 1.0) * (lam * (m - lam)) ** -1.5
-    return gpp if np.ndim(gpp) else float(gpp)
+    lam, m = check_lambda(lam, m), int(m)
+    _require(lam < m, "gamma_second is singular at lambda = m")
+    return _out(_gpp(lam, m))
 
 
 def r_value(lam, m, base: str = "two"):
     """R(lambda) = H2(gamma) + (1 - gamma) log(m-1); R(1)=0, R(m)=log m."""
-    _check_base(base)
-    x = one_minus_gamma(lam, m)  # validates
-    m = int(m)
-    r = binary_entropy(1.0 - np.asarray(x), base="natural") + x * np.log(m - 1.0)
-    r = convert_base(r, base)
-    return r if np.ndim(r) else float(r)
+    lam, m = check_lambda(lam, m), int(m)
+    return _out(convert_base(_r(lam, m), base))
 
 
 def g_value(lam, m):
@@ -188,77 +204,68 @@ def g_value(lam, m):
 
     Strictly increasing; diverges to -infinity as lambda -> 1.
     """
-    lam = check_lambda(lam, m)
-    m = int(m)
-    if np.any(np.asarray(lam) <= 1.0):
-        raise DomainError("g_value is singular at lambda = 1")
-    u, v = _uv(lam, m)
-    # log(1-gamma) expanded through the stable form to keep precision near 1.
-    g = (2.0 * (np.log(lam - 1.0) - np.log(u + v))
-         - np.log(m - 1.0)
-         - np.log1p(-one_minus_gamma(lam, m)))
-    return g if np.ndim(g) else float(g)
+    lam, m = check_lambda(lam, m), int(m)
+    _require(lam > 1.0, "g_value is singular at lambda = 1")
+    return _out(_g(lam, m))
 
 
 def r_first(lam, m, base: str = "two"):
     """R'(lambda) = gamma'(lambda) g(lambda); nonnegative on (1, m)."""
-    _check_base(base)
-    lam = check_lambda(lam, m)
-    m = int(m)
-    arr = np.asarray(lam)
-    if np.any(arr <= 1.0) or np.any(arr >= m):
-        raise DomainError("r_first requires 1 < lambda < m")
-    rp = gamma_first(lam, m) * g_value(lam, m)
-    rp = convert_base(rp, base)
-    return rp if np.ndim(rp) else float(rp)
+    lam, m = check_lambda(lam, m), int(m)
+    _require((lam > 1.0) & (lam < m), "r_first requires 1 < lambda < m")
+    return _out(convert_base(_gp(lam, m) * _g(lam, m), base))
 
 
 def r_second(lam, m):
     """R''(lambda) = gamma''(lambda) g(lambda) - 1/(L(m-L)), natural log.
 
+    Equivalently gamma''(lambda) (g - f), since gamma'' f = 1/(L(m-L)).
     Multiply by log2(e) for the base-2 convention.
     """
-    lam = check_lambda(lam, m)
-    m = int(m)
-    arr = np.asarray(lam)
-    if np.any(arr <= 1.0) or np.any(arr >= m):
-        raise DomainError("r_second requires 1 < lambda < m")
-    rpp = gamma_second(lam, m) * g_value(lam, m) - 1.0 / (lam * (m - lam))
-    return rpp if np.ndim(rpp) else float(rpp)
+    lam, m = check_lambda(lam, m), int(m)
+    _require((lam > 1.0) & (lam < m), "r_second requires 1 < lambda < m")
+    return _out(_gpp(lam, m) * _g(lam, m) - 1.0 / (lam * (m - lam)))
 
 
 def f_value(lam, m):
     """f(lambda) = -2 sqrt(L(m-L)/(m-1)); convex, f(1) = f(m-1) = -2."""
-    lam = check_lambda(lam, m)
-    m = int(m)
-    f = -2.0 * np.sqrt(lam * (m - lam) / (m - 1.0))
-    return f if np.ndim(f) else float(f)
+    lam, m = check_lambda(lam, m), int(m)
+    return _out(_f(lam, m))
+
+
+# Kernels on (delta, m): delta already checked, m an int.
+
+def _c(delta, m):
+    return 1.0 / (np.sqrt(m - 1.0 + delta) + np.sqrt((m - 1.0) * (1.0 - delta)))
+
+
+def _a(delta, m):
+    a = ((m * _c(delta, m)) ** 2 - 1.0) / (m - 1.0)
+    if np.any(a <= 0.0):
+        raise ArithmeticError("A(delta) must be positive")
+    return a
+
+
+def _b(delta, m):
+    return np.sqrt((m - 1.0) / ((m - 1.0 + delta) * (1.0 - delta)))
 
 
 def c_value(delta, m):
     """C(delta) = 1 / (sqrt(m-1+delta) + sqrt((m-1)(1-delta)))."""
-    delta = check_delta(delta, m)
-    m = int(m)
-    c = 1.0 / (np.sqrt(m - 1.0 + delta) + np.sqrt((m - 1.0) * (1.0 - delta)))
-    return c if np.ndim(c) else float(c)
+    delta, m = check_delta(delta, m), int(m)
+    return _out(_c(delta, m))
 
 
 def a_value(delta, m):
     """A(delta) = ((m C(delta))^2 - 1)/(m-1); equals e^g at lambda = m-1+delta."""
-    c = np.asarray(c_value(delta, m))
-    m = int(m)
-    a = ((m * c) ** 2 - 1.0) / (m - 1.0)
-    if np.any(a <= 0.0):
-        raise ArithmeticError("A(delta) must be positive")
-    return a if a.ndim else float(a)
+    delta, m = check_delta(delta, m), int(m)
+    return _out(_a(delta, m))
 
 
 def b_value(delta, m):
     """B(delta) = sqrt((m-1)/((m-1+delta)(1-delta))); B(0) = 1, increasing."""
-    delta = check_delta(delta, m)
-    m = int(m)
-    b = np.sqrt((m - 1.0) / ((m - 1.0 + delta) * (1.0 - delta)))
-    return b if np.ndim(b) else float(b)
+    delta, m = check_delta(delta, m), int(m)
+    return _out(_b(delta, m))
 
 
 def big_f_value(delta, m):
@@ -268,5 +275,5 @@ def big_f_value(delta, m):
     [0, 1), tending to -1 from above as delta -> 1; this is what rules out
     a zero of R'' right of m-1.  F is not monotone in delta.
     """
-    f = 0.5 * np.asarray(b_value(delta, m)) * np.log(a_value(delta, m))
-    return f if f.ndim else float(f)
+    delta, m = check_delta(delta, m), int(m)
+    return _out(0.5 * _b(delta, m) * np.log(_a(delta, m)))

@@ -194,19 +194,15 @@ def load_state(source) -> DensityMatrix:
     size = dims[0] * dims[1]
     if not isinstance(rows, list) or len(rows) != size:
         raise DimensionMismatchError(f"matrix must have {size} rows")
-    mat = np.zeros((size, size), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != size:
-            raise DimensionMismatchError(f"row {i} is ragged (expected {size} entries)")
-        for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
-                raise StateValidationError(
-                    f"entry ({i},{j}) must be a [re, im] pair of numbers")
-            re, im = float(entry[0]), float(entry[1])
-            if not (np.isfinite(re) and np.isfinite(im)):
-                raise StateValidationError(f"entry ({i},{j}) is not finite")
-            mat[i, j] = complex(re, im)
+    try:
+        a = np.array(rows)
+    except ValueError:  # ragged rows or entries: fail the shape check
+        a = np.empty(0)
+    if a.shape != (size, size, 2):
+        raise DimensionMismatchError(f"matrix must be {size} x {size} [re, im] pairs")
+    if a.dtype.kind not in "biuf":  # strings, None, objects
+        raise StateValidationError("matrix entries must be numbers")
+    mat = np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
     return validate_state(mat, dims)
 
 

@@ -1,4 +1,8 @@
+from dataclasses import dataclass
+
 import numpy as np
+
+from rfunc import check_dimension, r_value
 
 
 def central_diff(fn, x, h):
@@ -37,3 +41,41 @@ def random_product_pure(rng, m, n):
     b /= np.linalg.norm(b)
     psi = np.kron(a, b)
     return np.outer(psi, psi.conj())
+
+
+@dataclass(frozen=True)
+class PiecewiseLinear:
+    """Piecewise-linear function through increasing abscissae (vertices of a hull)."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __call__(self, x):
+        return np.interp(x, self.xs, self.ys)
+
+
+def hull_oracle(m, samples: int = 100_000, base: str = "two") -> PiecewiseLinear:
+    """Brute-force envelope: lower convex hull of sampled (lambda, R) points.
+
+    Monotone-chain sweep over the sorted samples; serves as an independent
+    cross-check of ``hull_value`` (agreement degrades only with the O(h^2)
+    sagitta of the chords between samples).
+    """
+    m = check_dimension(m)
+    if samples < 1000:
+        raise ValueError("samples must be at least 1000")
+    xs = np.linspace(1.0, float(m), samples)
+    ys = r_value(xs, m, base=base)
+    hull: list[int] = []
+    for i in range(samples):
+        while len(hull) >= 2:
+            j, k = hull[-2], hull[-1]
+            # pop k when it lies on or above the chord j -> i
+            if ((xs[k] - xs[j]) * (ys[i] - ys[j])
+                    - (xs[i] - xs[j]) * (ys[k] - ys[j]) <= 0.0):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    idx = np.array(hull)
+    return PiecewiseLinear(xs[idx], ys[idx])

@@ -15,7 +15,8 @@ of R.
 import numpy as np
 import pytest
 
-from conftest import central_diff, fd_step, random_product_pure, random_unitary
+from conftest import (central_diff, fd_step, hull_oracle, random_product_pure,
+                      random_unitary)
 
 import rfunc as rf
 
@@ -130,7 +131,7 @@ def test_criterion_6_hull_correctness():
         ok &= abs(rf.find_tangent(m).lambda_star - 4.0 * (m - 1.0) / m) < 1e-8
     sup = 0.0
     for m in range(2, 13):
-        oracle = rf.hull_oracle(m, 100_000)
+        oracle = hull_oracle(m, 100_000)
         xs = np.linspace(1.0, m, 50_000)
         sup = max(sup, float(np.max(np.abs(oracle(xs) - rf.hull_value(xs, m)))))
     ok &= sup < 1e-6

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import hull_oracle
+
 from rfunc import (
     certify_no_root_right,
     certify_proof,
@@ -11,7 +13,6 @@ from rfunc import (
     find_inflection,
     find_tangent,
     g_value,
-    hull_oracle,
     hull_value,
     r_first,
     r_value,
@@ -40,9 +41,19 @@ class TestFindInflection:
     def test_m2_absent(self):
         assert find_inflection(2).lambda0 is None
 
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            find_inflection(5, tol=0.0)
+    @pytest.mark.parametrize("m", [3, 4, 5, 64, 1000])
+    def test_lambda0_matches_mpmath(self, m):
+        # the root of g = f from R's definition at 50 digits; for m in {3, 4}
+        # it lies above m-1, for m >= 5 below
+        mpmath = pytest.importorskip("mpmath")
+        lam0 = find_inflection(m).lambda0
+        with mpmath.workdps(50):
+            def g_minus_f(lam):
+                gam = (mpmath.sqrt(lam) + mpmath.sqrt((m - 1) * (m - lam))) ** 2 / m ** 2
+                return (mpmath.log((1 - gam) / ((m - 1) * gam))
+                        + 2 * mpmath.sqrt(lam * (m - lam) / (m - 1)))
+            err = abs(lam0 - mpmath.findroot(g_minus_f, mpmath.mpf(lam0)))
+        assert err <= 1e-12, f"error {float(err):.3e}"
 
     @pytest.mark.parametrize("m", [5, 11, 40])
     def test_r_second_changes_sign_at_lambda0(self, m):

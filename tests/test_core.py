@@ -22,6 +22,7 @@ from rfunc import (
     r_second,
     r_value,
 )
+from rfunc.core import check_delta
 
 
 class TestBinaryEntropy:
@@ -42,6 +43,8 @@ class TestBinaryEntropy:
             binary_entropy(1.5)
         with pytest.raises(DomainError):
             binary_entropy(-0.1)
+        with pytest.raises(DomainError):
+            binary_entropy(np.nan)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_symmetry(self, x):
@@ -284,6 +287,10 @@ class TestRightIntervalFunctions:
             b_value(1.0, 5)
         with pytest.raises(DomainError):
             c_value(-0.1, 5)
+        with pytest.raises(DomainError):
+            check_delta(np.nan, 6)
+        with pytest.raises(DomainError):
+            big_f_value(np.nan, 6)
 
 
 class TestProofIdentity:

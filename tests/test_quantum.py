@@ -263,3 +263,11 @@ class TestStateFileFormat:
         rows[1][1] = [0.25]
         with pytest.raises(StateValidationError):
             self._load({"dims": [2, 2], "matrix": rows})
+
+    @pytest.mark.parametrize("entry", [["0.25", "0"], [None, 0.0], [0.25, 0.0, 0.0]])
+    def test_entry_not_a_pair_of_numbers(self, entry):
+        rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+                for i in range(4)]
+        rows[1][2] = entry
+        with pytest.raises(StateValidationError):
+            self._load({"dims": [2, 2], "matrix": rows})
