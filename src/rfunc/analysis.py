@@ -17,6 +17,8 @@ import numpy as np
 
 from .core import (
     TOL,
+    _MATH,
+    _args,
     _f,
     _g,
     _r,
@@ -24,7 +26,6 @@ from .core import (
     a_value,
     b_value,
     check_dimension,
-    check_lambda,
     convert_base,
     f_value,
     g_value,
@@ -141,7 +142,7 @@ def find_inflection(m) -> InflectionResult:
         return InflectionResult(None, bracket, it)
     while hi - lo > 1e-12 and it < 200:
         mid = 0.5 * (lo + hi)
-        diff = _g(mid, m) - _f(mid, m)
+        diff = _g(mid, m, _MATH) - _f(mid, m, _MATH)
         if diff == 0.0:
             return InflectionResult(mid, bracket, it)
         if diff < 0.0:
@@ -212,6 +213,8 @@ def certify_no_root_right(m, grid_size: int = 10_000) -> list[CertificateCheck]:
 def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     """Run every endpoint identity and grid inequality for one dimension m."""
     m = check_dimension(m)
+    # first, so that a grid_size below 1000 is rejected before any grid work
+    count, ok = certify_unique_inflection(m, grid_size)
     rep = CertificateReport(m)
     grid = _interior_grid(m, grid_size)
 
@@ -264,7 +267,6 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
             rep.add("r_second_negative_at_m_minus_one", "R''(m-1) < 0",
                     rpp_m1, 0.0, rpp_m1 < 0.0)
 
-    count, ok = certify_unique_inflection(m, grid_size)
     expected = 0 if m == 2 else 1
     rep.add("unique_inflection",
             f"exactly {expected} sign change(s) of R'' on (1, m)",
@@ -308,14 +310,12 @@ def find_tangent(m, base: str = "two") -> HullDescription:
 
 def hull_value(lam, m, base: str = "two"):
     """Convex envelope co(R): R up to lambda*, then the tangent line to (m, log m)."""
-    lam, m = check_lambda(lam, m), int(m)
+    lam, m, xp = _args(lam, m)
     lam_star, slope, val, _ = _tangent_natural(m)
-    arr = np.asarray(lam)
-    out = np.empty_like(arr)
-    on_curve = arr <= lam_star
-    if np.any(on_curve):
-        out[on_curve] = _r(arr[on_curve], m)
-    if np.any(~on_curve):
-        out[~on_curve] = val + slope * (arr[~on_curve] - lam_star)
-    out = convert_base(out, base)
-    return out if np.ndim(lam) else float(out)
+    out = val + slope * (lam - lam_star)  # the line; R replaces it up to lambda*
+    if xp is np:
+        on_curve = lam <= lam_star
+        out[on_curve] = _r(lam[on_curve], m, np)
+    elif lam <= lam_star:
+        out = _r(lam, m, xp)
+    return convert_base(out, base)

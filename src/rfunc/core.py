@@ -4,16 +4,20 @@ Everything here is a pure function of (lambda, m) or (delta, m).  Internally
 all logarithms are natural; public entry points that return entropies accept a
 ``base`` argument ("two" or "natural") and convert once, by the factor
 log2(e).  All functions accept numpy arrays for their real argument and
-broadcast elementwise.
+broadcast elementwise; a scalar argument gives a Python float.
 
 Each public function validates its arguments once and then calls the private
 kernels below (``_omg``, ``_g``, ...), which take a lambda (or delta) that is
 already checked and clipped and an int m, and do no checking of their own.
+The lambda kernels run over a namespace ``xp``, picked once by ``_args``:
+``_MATH`` (the ``math`` module) for a float, ``np`` for an array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -71,7 +75,7 @@ def _out(x):
 
 def check_dimension(m) -> int:
     """Validate the local dimension m (integer, at least 2)."""
-    if not float(m).is_integer():
+    if isinstance(m, (str, bytes, bool)) or not float(m).is_integer():
         raise DomainError(f"dimension m must be an integer, got {m!r}")
     m = int(m)
     if m < 2:
@@ -82,10 +86,15 @@ def check_dimension(m) -> int:
 def check_lambda(lam, m):
     """Validate lambda in [1, m]; values within TOL.endpoint of an endpoint are clipped."""
     m = check_dimension(m)
-    lam = np.asarray(lam, dtype=float)
-    if not np.all((lam >= 1.0 - TOL.endpoint) & (lam <= m + TOL.endpoint)):  # NaN fails too
-        raise DomainError(f"lambda outside domain [1, {m}]")
-    return _out(np.clip(lam, 1.0, float(m)))
+    lo, hi = 1.0 - TOL.endpoint, m + TOL.endpoint
+    if isinstance(lam, (int, float)):  # int, float or np.float64: no numpy calls
+        if lo <= lam <= hi:  # NaN and +-inf fail
+            return min(max(float(lam), 1.0), float(m))
+    else:
+        lam = np.asarray(lam, dtype=float)
+        if np.all((lam >= lo) & (lam <= hi)):  # NaN fails too
+            return _out(np.clip(lam, 1.0, float(m)))
+    raise DomainError(f"lambda outside domain [1, {m}]")
 
 
 def check_delta(delta, m):
@@ -97,31 +106,32 @@ def check_delta(delta, m):
     return _out(delta)
 
 
-def _check_base(base: str) -> str:
-    if base not in BASES:
-        raise ValueError(f"log base must be one of {BASES}, got {base!r}")
-    return base
-
-
 def convert_base(value, base: str):
     """Convert a natural-log quantity to the requested base."""
-    return value * LOG2E if _check_base(base) == "two" else value
+    if base not in BASES:
+        raise ValueError(f"log base must be one of {BASES}, got {base!r}")
+    return value * LOG2E if base == "two" else value
 
 
 def _require(ok, message: str) -> None:
-    if not np.all(ok):
+    if not (ok is True or np.all(ok)):
         raise DomainError(message)
 
 
-def _h2(p):
+# The kernels' namespace for a float: math, scalar np.minimum and np.where, and
+# numpy's log1p (math.log1p is up to 0.64 ulp off; it moved g(m-1) at m = 21, 27)
+_MATH = SimpleNamespace(sqrt=math.sqrt, log=math.log, log1p=lambda v: float(np.log1p(v)),
+                        minimum=min, where=lambda ok, a, b: a if ok else b)
+
+
+def _h2(p, xp):
     # natural-log H2 through the symmetry H2(p) = H2(1-p): the log1p branch
     # always gets the argument closest to 1, which keeps precision at 0 and 1
-    small = np.minimum(p, 1.0 - p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(small > 0.0,
-                        -small * np.log(np.where(small > 0.0, small, 1.0))
-                        - (1.0 - small) * np.log1p(-small),
-                        0.0)
+    small = xp.minimum(p, 1.0 - p)
+    return xp.where(small > 0.0,
+                    -small * xp.log(xp.where(small > 0.0, small, 1.0))
+                    - (1.0 - small) * xp.log1p(-small),
+                    0.0)
 
 
 def binary_entropy(x, base: str = "two"):
@@ -129,74 +139,80 @@ def binary_entropy(x, base: str = "two"):
     x = np.asarray(x, dtype=float)
     if not np.all((x >= -TOL.endpoint) & (x <= 1.0 + TOL.endpoint)):  # NaN fails too
         raise DomainError("binary_entropy argument outside [0, 1]")
-    return _out(convert_base(_h2(np.clip(x, 0.0, 1.0)), base))
+    return _out(convert_base(_h2(np.clip(x, 0.0, 1.0), np), base))
 
 
-# Kernels on (lambda, m): lambda already checked and clipped, m an int.
+# Kernels on (lambda, m, xp): lambda already checked and clipped, m an int.
 
-def _w(lam, m):
+def _args(lam, m):
+    # the checked lambda, m as an int, and the namespace the kernels run on
+    lam = check_lambda(lam, m)
+    return lam, int(m), (_MATH if type(lam) is float else np)
+
+
+def _w(lam, m, xp):
     # sqrt((m-1)L) + sqrt(m-L); the difference of the two roots is m(L-1)/w
-    return np.sqrt((m - 1.0) * lam) + np.sqrt(m - lam)
+    return xp.sqrt((m - 1.0) * lam) + xp.sqrt(m - lam)
 
 
-def _omg(lam, m):
+def _omg(lam, m, xp):
     # 1 - gamma = (sqrt((m-1)L) - sqrt(m-L))^2 / m^2 = ((L-1)/w)^2, which is
     # exact in (L - 1): no cancellation near lambda = 1
-    return ((lam - 1.0) / _w(lam, m)) ** 2
+    return ((lam - 1.0) / _w(lam, m, xp)) ** 2
 
 
-def _gp(lam, m):
+def _gp(lam, m, xp):
     # (1/sqrt(L) - sqrt((m-1)/(m-L))) = (v - u)/sqrt(L(m-L)) with
     # v - u = -m(L-1)/w; combined with the sqrt(gamma) prefactor.
-    return (-np.sqrt(1.0 - _omg(lam, m)) * (lam - 1.0)
-            / (_w(lam, m) * np.sqrt(lam * (m - lam))))
+    return (-xp.sqrt(1.0 - _omg(lam, m, xp)) * (lam - 1.0)
+            / (_w(lam, m, xp) * xp.sqrt(lam * (m - lam))))
 
 
-def _gpp(lam, m):
-    return -0.5 * np.sqrt(m - 1.0) * (lam * (m - lam)) ** -1.5
+def _gpp(lam, m, xp):
+    return -0.5 * xp.sqrt(m - 1.0) * (lam * (m - lam)) ** -1.5
 
 
-def _g(lam, m):
+def _g(lam, m, xp):
     # log(1-gamma) expanded through the stable form to keep precision near 1.
-    return (2.0 * (np.log(lam - 1.0) - np.log(_w(lam, m)))
-            - np.log(m - 1.0)
-            - np.log1p(-_omg(lam, m)))
+    return (2.0 * (xp.log(lam - 1.0) - xp.log(_w(lam, m, xp)))
+            - xp.log(m - 1.0)
+            - xp.log1p(-_omg(lam, m, xp)))
 
 
-def _f(lam, m):
-    return -2.0 * np.sqrt(lam * (m - lam) / (m - 1.0))
+def _f(lam, m, xp):
+    return -2.0 * xp.sqrt(lam * (m - lam) / (m - 1.0))
 
 
-def _r(lam, m):
+def _r(lam, m, xp):
     # natural-log R
-    x = _omg(lam, m)
-    return _h2(1.0 - x) + x * np.log(m - 1.0)
+    x = _omg(lam, m, xp)
+    return _h2(1.0 - x, xp) + x * xp.log(m - 1.0)
 
 
 def gamma_value(lam, m):
     """gamma(lambda) = (sqrt(L) + sqrt((m-1)(m-L)))^2 / m^2, in [1/m, 1]."""
-    lam, m = check_lambda(lam, m), int(m)
-    return _out(1.0 - _omg(lam, m))
+    lam, m, xp = _args(lam, m)
+    return 1.0 - _omg(lam, m, xp)
 
 
 def gamma_first(lam, m):
     """d gamma / d lambda; zero at lambda = 1, negative on (1, m)."""
-    lam, m = check_lambda(lam, m), int(m)
+    lam, m, xp = _args(lam, m)
     _require(lam < m, "gamma_first is singular at lambda = m")
-    return _out(_gp(lam, m))
+    return _gp(lam, m, xp)
 
 
 def gamma_second(lam, m):
     """Second derivative of gamma: -(sqrt(m-1)/2) (L(m-L))^(-3/2)."""
-    lam, m = check_lambda(lam, m), int(m)
+    lam, m, xp = _args(lam, m)
     _require(lam < m, "gamma_second is singular at lambda = m")
-    return _out(_gpp(lam, m))
+    return _gpp(lam, m, xp)
 
 
 def r_value(lam, m, base: str = "two"):
     """R(lambda) = H2(gamma) + (1 - gamma) log(m-1); R(1)=0, R(m)=log m."""
-    lam, m = check_lambda(lam, m), int(m)
-    return _out(convert_base(_r(lam, m), base))
+    lam, m, xp = _args(lam, m)
+    return convert_base(_r(lam, m, xp), base)
 
 
 def g_value(lam, m):
@@ -204,16 +220,16 @@ def g_value(lam, m):
 
     Strictly increasing; diverges to -infinity as lambda -> 1.
     """
-    lam, m = check_lambda(lam, m), int(m)
+    lam, m, xp = _args(lam, m)
     _require(lam > 1.0, "g_value is singular at lambda = 1")
-    return _out(_g(lam, m))
+    return _g(lam, m, xp)
 
 
 def r_first(lam, m, base: str = "two"):
     """R'(lambda) = gamma'(lambda) g(lambda); nonnegative on (1, m)."""
-    lam, m = check_lambda(lam, m), int(m)
+    lam, m, xp = _args(lam, m)
     _require((lam > 1.0) & (lam < m), "r_first requires 1 < lambda < m")
-    return _out(convert_base(_gp(lam, m) * _g(lam, m), base))
+    return convert_base(_gp(lam, m, xp) * _g(lam, m, xp), base)
 
 
 def r_second(lam, m):
@@ -222,15 +238,15 @@ def r_second(lam, m):
     Equivalently gamma''(lambda) (g - f), since gamma'' f = 1/(L(m-L)).
     Multiply by log2(e) for the base-2 convention.
     """
-    lam, m = check_lambda(lam, m), int(m)
+    lam, m, xp = _args(lam, m)
     _require((lam > 1.0) & (lam < m), "r_second requires 1 < lambda < m")
-    return _out(_gpp(lam, m) * _g(lam, m) - 1.0 / (lam * (m - lam)))
+    return _gpp(lam, m, xp) * _g(lam, m, xp) - 1.0 / (lam * (m - lam))
 
 
 def f_value(lam, m):
     """f(lambda) = -2 sqrt(L(m-L)/(m-1)); convex, f(1) = f(m-1) = -2."""
-    lam, m = check_lambda(lam, m), int(m)
-    return _out(_f(lam, m))
+    lam, m, xp = _args(lam, m)
+    return _f(lam, m, xp)
 
 
 # Kernels on (delta, m): delta already checked, m an int.

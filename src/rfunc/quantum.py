@@ -126,13 +126,14 @@ def trace_norm(matrix) -> float:
     mat = np.asarray(matrix, dtype=complex)
     if not np.all(np.isfinite(mat)):
         raise ValueError("trace_norm requires finite entries")
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+    return float(np.linalg.norm(mat, "nuc"))
 
 
 def lambda_of_state(rho: DensityMatrix) -> LambdaEstimate:
     """Max of the two entanglement norms, clamped to the R-curve domain [1, m]."""
-    ppt = trace_norm(partial_transpose(rho))
-    ccnr = trace_norm(realign(rho))
+    # rho^T_B is Hermitian: summing |eigenvalues| costs 1/2 to 2/3 of an SVD
+    ppt = float(np.abs(np.linalg.eigvalsh(partial_transpose(rho))).sum())
+    ccnr = float(np.linalg.norm(realign(rho), "nuc"))
     lam = min(float(rho.m), max(1.0, ppt, ccnr))
     return LambdaEstimate(ppt, ccnr, lam)
 
@@ -153,12 +154,12 @@ def isotropic_eof(d, fidelity, base: str = "two") -> float:
     fidelity = _check_fidelity(fidelity)
     if fidelity <= 1.0 / d:
         return 0.0
-    return float(hull_value(d * fidelity, d, base=base))
+    return hull_value(d * fidelity, d, base=base)
 
 
 def eof_lower_bound(rho: DensityMatrix, base: str = "two") -> float:
     """Lower bound on the entanglement of formation: co(R)(Lambda(rho))."""
-    return float(hull_value(lambda_of_state(rho).lam, rho.m, base=base))
+    return hull_value(lambda_of_state(rho).lam, rho.m, base=base)
 
 
 def max_entangled_state(d) -> DensityMatrix:

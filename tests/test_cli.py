@@ -79,6 +79,12 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--m", "1")
         assert code == 2 and err
 
+    def test_small_grid_rejected_before_grid_work(self, capsys):
+        code, out, err = run(capsys, "certify", "--m", "5", "--grid", "2")
+        assert code == 2 and out == ""
+        assert "grid_size must be at least 1000" in err
+        assert "zero-size" not in err
+
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "certify", "--m", "6")
         _, out2, _ = run(capsys, "certify", "--m", "6")

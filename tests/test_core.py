@@ -12,12 +12,15 @@ from rfunc import (
     big_f_value,
     binary_entropy,
     c_value,
+    check_dimension,
     check_lambda,
     f_value,
     g_value,
     gamma_first,
     gamma_second,
     gamma_value,
+    hull_value,
+    isotropic_eof,
     r_first,
     r_second,
     r_value,
@@ -310,3 +313,119 @@ class TestProofIdentity:
         lam = m - 1.0 + deltas
         assert np.all(np.sign(r_second(lam, m))
                       == np.sign(-(big_f_value(deltas, m) + 1.0)))
+
+
+class TestCheckDimension:
+    @pytest.mark.parametrize("m", [5, 5.0, np.int64(5), np.float64(5.0)])
+    def test_integers_accepted(self, m):
+        assert check_dimension(m) == 5 and type(check_dimension(m)) is int
+
+    @pytest.mark.parametrize("m", ["5", b"5", True, 2.5, np.nan, np.inf, 1])
+    def test_invalid_rejected(self, m):
+        with pytest.raises(DomainError):
+            check_dimension(m)
+
+    def test_string_m_rejected_by_public_functions(self):
+        with pytest.raises(DomainError):
+            r_value(2.5, "5")
+
+
+LAMBDA_FUNCTIONS = [gamma_value, gamma_first, gamma_second, r_value, r_first,
+                    r_second, g_value, f_value, hull_value]
+
+
+class TestScalarPath:
+    """A scalar lambda runs the kernels on math, an array on numpy."""
+
+    @pytest.mark.parametrize("lam", [2.5, np.float64(2.5), np.asarray(2.5)])
+    def test_r_value_returns_python_float(self, lam):
+        assert type(r_value(lam, 5)) is float
+
+    @pytest.mark.parametrize("fn", LAMBDA_FUNCTIONS)
+    def test_every_function_returns_python_float(self, fn):
+        assert type(fn(np.float64(2.5), 5)) is float
+
+    def test_isotropic_eof_returns_python_float(self):
+        assert type(isotropic_eof(5, np.float64(0.5))) is float
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2)])
+    def test_array_keeps_its_shape(self, shape):
+        for fn in LAMBDA_FUNCTIONS:
+            out = fn(np.full(shape, 2.5), 5)
+            assert isinstance(out, np.ndarray) and out.shape == shape
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, np.float64(np.nan),
+                                     0.5, 5.1, np.asarray(np.nan)])
+    def test_bad_scalars_rejected(self, lam):
+        with pytest.raises(DomainError):
+            r_value(lam, 5)
+
+    def test_scalar_path_no_less_accurate_than_array_path(self):
+        # Each function at float lambda (math kernels) and at a 1-element
+        # array (numpy kernels), against 50-digit mpmath written from the
+        # definitions.  The sample reaches 1e-14 from both endpoints, where
+        # known cancellations dominate; those hit both paths alike.
+        mpmath = pytest.importorskip("mpmath")
+        worst = {}
+
+        def record(name, got, ref):
+            err = float(abs(got - ref) / abs(ref) if abs(ref) > 1e-30 else abs(got))
+            worst[name] = max(worst.get(name, 0.0), err)
+
+        with mpmath.workdps(50):
+            for m in (2, 3, 5, 64, 10 ** 3, 10 ** 6):
+                rng = np.random.default_rng(m)
+                ts = [10.0 ** -k for k in range(1, 15)]
+                lams = ([1.0 + t for t in ts] + [m - t for t in ts]
+                        + [1.0, float(m), m - 1.0, 4.0 * (m - 1) / m]
+                        + [float(x) for x in rng.uniform(1.0, m, 40)])
+                for lam in lams:
+                    refs = _mp_reference(mpmath, lam, m)
+                    for fn in LAMBDA_FUNCTIONS:
+                        ref = refs.get(fn.__name__)
+                        if ref is None:   # singular endpoint of this function
+                            continue
+                        record(("scalar", fn.__name__), fn(lam, m), ref)
+                        record(("array", fn.__name__), fn(np.array([lam]), m)[0], ref)
+                    fid = lam / m
+                    if fid > 1.0 / m:
+                        ref = _mp_reference(mpmath, m * fid, m)["hull_value"]
+                        record(("scalar", "isotropic_eof"), isotropic_eof(m, fid), ref)
+                        record(("array", "isotropic_eof"),
+                               hull_value(np.array([m * fid]), m)[0], ref)
+        names = [fn.__name__ for fn in LAMBDA_FUNCTIONS] + ["isotropic_eof"]
+        worse = {n: (worst["scalar", n], worst["array", n]) for n in names
+                 if not worst["scalar", n] <= worst["array", n]}   # nan fails too
+        assert not worse, f"scalar path less accurate (scalar, array): {worse}"
+
+
+def _mp_reference(mp, lam, m):
+    """50-digit values of the public lambda-functions at (lam, m), by name.
+
+    1 - gamma is taken as ((lam-1)/w)^2 with w = sqrt((m-1)lam) + sqrt(m-lam),
+    the same identity as the kernels use, so that it keeps its digits near
+    lambda = 1 at large m; everything else is written from the definitions.
+    Functions singular at lam are left out.
+    """
+    lam, m_ = mp.mpf(lam), mp.mpf(m)
+    x = ((lam - 1) / (mp.sqrt((m_ - 1) * lam) + mp.sqrt(m_ - lam))) ** 2
+    gam = 1 - x
+    ln2 = mp.log(2)
+    r = -gam * mp.log(gam) + (x * (mp.log(m_ - 1) - mp.log(x)) if x > 0 else 0)
+    star = 4 * (m_ - 1) / m_
+    hull = r if m == 2 or lam <= star else (
+        mp.log(m_) + (lam - m_) * mp.log(m_ - 1) / (m_ - 2))
+    out = {"gamma_value": gam, "r_value": r / ln2, "hull_value": hull / ln2,
+           "f_value": -2 * mp.sqrt(lam * (m_ - lam) / (m_ - 1))}
+    if lam < m_:
+        s = mp.sqrt(lam) + mp.sqrt((m_ - 1) * (m_ - lam))
+        ds = 1 / (2 * mp.sqrt(lam)) - (m_ - 1) / (2 * mp.sqrt((m_ - 1) * (m_ - lam)))
+        g1 = 2 * s * ds / m_ ** 2
+        g2 = -mp.sqrt(m_ - 1) / 2 * (lam * (m_ - lam)) ** mp.mpf(-1.5)
+        out.update(gamma_first=g1, gamma_second=g2)
+    if lam > 1:
+        g = mp.log(x / ((m_ - 1) * gam))
+        out["g_value"] = g
+        if lam < m_:
+            out.update(r_first=g1 * g / ln2, r_second=g2 * g - g1 ** 2 / (gam * x))
+    return out

@@ -160,6 +160,25 @@ class TestLambdaOfState:
         assert est.ccnr_norm < 1.0
         assert est.lam == 1.0
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 3), (5, 5)])
+    @pytest.mark.parametrize("kind", ["mixed", "pure", "product"])
+    def test_ppt_norm_equals_singular_value_sum(self, kind, dims):
+        # the partial-transpose norm comes from eigvalsh of the Hermitian
+        # rho^T_B; it must agree with the sum of its singular values
+        m, n = dims
+        rng = np.random.default_rng(m * 10 + n)
+        if kind == "mixed":
+            mat = random_density(rng, m, n)
+        elif kind == "pure":
+            psi = rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
+            psi /= np.linalg.norm(psi)
+            mat = np.outer(psi, psi.conj())
+        else:
+            mat = random_product_pure(rng, m, n)
+        rho = validate_state(mat, dims)
+        svd_sum = np.linalg.svd(partial_transpose(rho), compute_uv=False).sum()
+        assert abs(lambda_of_state(rho).ppt_norm - svd_sum) <= 1e-13 * svd_sum
+
 
 class TestIsotropicEof:
     def test_qubit_maximal(self):
