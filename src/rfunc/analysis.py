@@ -40,8 +40,6 @@ __all__ = [
     "CertificateCheck",
     "CertificateReport",
     "find_inflection",
-    "certify_unique_inflection",
-    "certify_no_root_right",
     "certify_proof",
     "find_tangent",
     "hull_value",
@@ -100,8 +98,8 @@ class CertificateReport:
         return {
             "m": self.m,
             "checks": [
-                {"name": c.name, "claim": c.claim, "measured": float(c.measured),
-                 "threshold": float(c.threshold), "pass": bool(c.passed)}
+                {"name": c.name, "claim": c.claim, "measured": c.measured,
+                 "threshold": c.threshold, "pass": c.passed}
                 for c in self.checks
             ],
             "overall": self.overall,
@@ -115,10 +113,6 @@ def _sign_changes(values) -> int:
     s = np.sign(values)
     s = s[s != 0]
     return int(np.count_nonzero(np.diff(s)))
-
-
-def _interior_grid(m, n):
-    return np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset, n)
 
 
 def find_inflection(m) -> InflectionResult:
@@ -153,73 +147,26 @@ def find_inflection(m) -> InflectionResult:
     return InflectionResult(0.5 * (lo + hi), bracket, it)
 
 
-def certify_unique_inflection(m, grid_size: int = 10_000):
-    """Count sign changes of R'' on an interior grid; expect 1 (0 for m=2)."""
+def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
+    """Run every endpoint identity and grid inequality for one dimension m.
+
+    For m >= 5 the report ends with the delta route, which rules out a zero
+    of R'' on (m-1, m): F(delta) = (1/2) B log A at lambda = m-1+delta stays
+    above -1 on [0, 1).  F is not monotone (it tends to -1 from above as
+    delta -> 1), so the grid bound on F is the check that excludes the zero.
+    """
     m = check_dimension(m)
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
-    count = _sign_changes(r_second(_interior_grid(m, grid_size), m))
-    expected = 0 if m == 2 else 1
-    return count, count == expected
-
-
-def certify_no_root_right(m, grid_size: int = 10_000) -> list[CertificateCheck]:
-    """Checks ruling out a zero of R'' on (m-1, m): F(delta) stays above -1.
-
-    Verifies the closed form of F(0), the bound F(0) >= log(3/8), strict
-    monotonicity of A and B in delta, and F > -1 across the grid.  F itself
-    is not monotone in delta (it tends to -1 from above as delta -> 1), so
-    the grid bound on F is the check that actually excludes a zero of R''.
-    Only meaningful for m >= 5.
-    """
-    m = check_dimension(m)
-    if m < 5:
-        raise ValueError("certify_no_root_right requires m >= 5")
-    deltas = np.linspace(0.0, 1.0 - 1e-6, grid_size)
-    f0 = big_f_value(0.0, m)
-    closed = float(np.log((m - 2.0) / (2.0 * (m - 1.0))))
-    fvals = big_f_value(deltas, m)
-    avals = a_value(deltas, m)
-    bvals = b_value(deltas, m)
-    checks = [
-        CertificateCheck(
-            "big_f_at_zero_closed_form",
-            "F(0) = log((m-2)/(2(m-1)))",
-            abs(f0 - closed), 1e-12, abs(f0 - closed) <= 1e-12),
-        CertificateCheck(
-            "big_f_at_zero_lower_bound",
-            "F(0) >= log(3/8) > -1",
-            f0, float(np.log(3.0 / 8.0)),
-            f0 >= np.log(3.0 / 8.0) - 1e-12),
-        CertificateCheck(
-            "big_f_above_minus_one",
-            "F(delta) > -1 on [0, 1)",
-            float(np.min(fvals)), -1.0,
-            bool(np.all(fvals > -1.0))),
-        CertificateCheck(
-            "a_increasing",
-            "A(delta) strictly increasing on [0, 1)",
-            float(np.min(np.diff(avals))), 0.0,
-            bool(np.all(np.diff(avals) > 0.0))),
-        CertificateCheck(
-            "b_increasing",
-            "B(delta) strictly increasing on [0, 1)",
-            float(np.min(np.diff(bvals))), 0.0,
-            bool(np.all(np.diff(bvals) > 0.0))),
-    ]
-    return checks
-
-
-def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
-    """Run every endpoint identity and grid inequality for one dimension m."""
-    m = check_dimension(m)
-    # first, so that a grid_size below 1000 is rejected before any grid work
-    count, ok = certify_unique_inflection(m, grid_size)
     rep = CertificateReport(m)
-    grid = _interior_grid(m, grid_size)
+    grid = np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset, grid_size)
 
     def identity(name, claim, err):
         rep.add(name, claim, err, 1e-12, err <= 1e-12)
+
+    def increasing(name, claim, values):
+        steps = np.diff(values)
+        rep.add(name, claim, np.min(steps), 0.0, np.all(steps > 0.0))
 
     identity("gamma_at_one", "gamma(1) = 1", abs(gamma_value(1.0, m) - 1.0))
     identity("gamma_at_m", "gamma(m) = 1/m", abs(gamma_value(float(m), m) - 1.0 / m))
@@ -228,10 +175,10 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
 
     gam = gamma_value(grid, m)
     rep.add("gamma_nonincreasing", "gamma is nonincreasing on [1, m]",
-            float(np.max(np.diff(gam))), 0.0, bool(np.all(np.diff(gam) <= 0.0)))
+            np.max(np.diff(gam)), 0.0, np.all(np.diff(gam) <= 0.0))
     rv = r_value(grid, m)
     rep.add("r_nondecreasing", "R is nondecreasing on [1, m]",
-            float(np.min(np.diff(rv))), 0.0, bool(np.all(np.diff(rv) >= 0.0)))
+            np.min(np.diff(rv)), 0.0, np.all(np.diff(rv) >= 0.0))
 
     # R'' is positive just right of 1 (the divergence there is logarithmic,
     # so "large" cannot mean more than a few tens in double precision).
@@ -241,17 +188,14 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
 
     identity("f_endpoints", "f(1) = f(m-1) = -2",
              max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0)))
-    fv = f_value(grid, m)
-    d2f = np.diff(fv, 2)
+    d2f = np.diff(f_value(grid, m), 2)
     rep.add("f_convex", "second differences of f are nonnegative",
-            float(np.min(d2f)), -1e-10, bool(np.all(d2f >= -1e-10)))
+            np.min(d2f), -1e-10, np.all(d2f >= -1e-10))
 
     if m >= 3:
         ggrid = np.linspace(1.0 + TOL.grid_left_offset, float(m - 1), grid_size)
-        gv = g_value(ggrid, m)
-        rep.add("g_increasing", "g strictly increasing on (1, m-1]",
-                float(np.min(np.diff(gv))), 0.0,
-                bool(np.all(np.diff(gv) > 0.0)))
+        increasing("g_increasing", "g strictly increasing on (1, m-1]",
+                   g_value(ggrid, m))
         log_ratio = np.log((m - 2.0) / (2.0 * (m - 1.0)))
         gm1 = g_value(float(m - 1), m)
         identity("g_at_m_minus_one_closed_form", "g(m-1) = 2 log((m-2)/(2(m-1)))",
@@ -268,9 +212,10 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
                     rpp_m1, 0.0, rpp_m1 < 0.0)
 
     expected = 0 if m == 2 else 1
+    count = _sign_changes(r_second(grid, m))
     rep.add("unique_inflection",
             f"exactly {expected} sign change(s) of R'' on (1, m)",
-            count, expected, ok)
+            count, expected, count == expected)
 
     if m >= 5:
         res = find_inflection(m)
@@ -281,7 +226,21 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
         rep.add("inflection_in_open_interval", "lambda0 in (1, m-1)",
                 res.lambda0, float(m - 1),
                 1.0 < res.lambda0 < m - 1.0)
-        rep.checks.extend(certify_no_root_right(m, grid_size))
+
+        deltas = np.linspace(0.0, 1.0 - 1e-6, grid_size)
+        f0 = big_f_value(0.0, m)
+        identity("big_f_at_zero_closed_form", "F(0) = log((m-2)/(2(m-1)))",
+                 abs(f0 - log_ratio))
+        log_3_8 = np.log(3.0 / 8.0)
+        rep.add("big_f_at_zero_lower_bound", "F(0) >= log(3/8) > -1",
+                f0, log_3_8, f0 >= log_3_8 - 1e-12)
+        fvals = big_f_value(deltas, m)
+        rep.add("big_f_above_minus_one", "F(delta) > -1 on [0, 1)",
+                np.min(fvals), -1.0, np.all(fvals > -1.0))
+        increasing("a_increasing", "A(delta) strictly increasing on [0, 1)",
+                   a_value(deltas, m))
+        increasing("b_increasing", "B(delta) strictly increasing on [0, 1)",
+                   b_value(deltas, m))
 
     return rep
 

@@ -88,8 +88,9 @@ def test_criterion_3_divergence_threshold():
 def test_criterion_4_uniqueness_and_inflection():
     ok = True
     for m in range(2, 65):
-        count, good = rf.certify_unique_inflection(m, 10_000)
-        ok &= good
+        unique = next(c for c in rf.certify_proof(m, 10_000).checks
+                      if c.name == "unique_inflection")
+        ok &= unique.passed and unique.measured == (0.0 if m == 2 else 1.0)
     for m in range(5, 65):
         res = rf.find_inflection(m)
         resid = abs(rf.g_value(res.lambda0, m) - rf.f_value(res.lambda0, m))

@@ -6,9 +6,7 @@ import pytest
 from conftest import hull_oracle
 
 from rfunc import (
-    certify_no_root_right,
     certify_proof,
-    certify_unique_inflection,
     f_value,
     find_inflection,
     find_tangent,
@@ -62,34 +60,51 @@ class TestFindInflection:
         assert r_second(lam0 + 1e-4, m) < 0.0
 
 
+def check_named(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
 class TestUniqueness:
     @pytest.mark.parametrize("m", [3, 4, 5, 40, 64])
     def test_exactly_one_sign_change(self, m):
-        count, ok = certify_unique_inflection(m)
-        assert count == 1 and ok
+        check = check_named(certify_proof(m), "unique_inflection")
+        assert check.measured == 1.0 and check.passed
 
     def test_m2_no_sign_change(self):
-        count, ok = certify_unique_inflection(2)
-        assert count == 0 and ok
+        check = check_named(certify_proof(2), "unique_inflection")
+        assert check.measured == 0.0 and check.passed
 
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
-            certify_unique_inflection(5, grid_size=10)
+            certify_proof(5, grid_size=10)
+
+
+DELTA_CHECKS = ["big_f_at_zero_closed_form", "big_f_at_zero_lower_bound",
+                "big_f_above_minus_one", "a_increasing", "b_increasing"]
 
 
 class TestNoRootRight:
     @pytest.mark.parametrize("m", [5, 100])
     def test_all_checks_pass(self, m):
-        checks = certify_no_root_right(m)
+        rep = certify_proof(m)
+        checks = [check_named(rep, name) for name in DELTA_CHECKS]
         assert all(c.passed for c in checks)
-        f0 = next(c for c in checks if c.name == "big_f_at_zero_lower_bound")
+        f0 = check_named(rep, "big_f_at_zero_lower_bound")
         assert f0.measured == pytest.approx(
             np.log((m - 2.0) / (2.0 * (m - 1.0))), abs=1e-12)
         assert f0.measured >= np.log(3.0 / 8.0) - 1e-12
 
-    def test_requires_m_at_least_5(self):
-        with pytest.raises(ValueError):
-            certify_no_root_right(4)
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_absent_below_5(self, m):
+        names = {c.name for c in certify_proof(m).checks}
+        assert names.isdisjoint(DELTA_CHECKS)
+
+
+BASE_CHECKS = ["gamma_at_one", "gamma_at_m", "r_at_one", "r_at_m",
+               "gamma_nonincreasing", "r_nondecreasing",
+               "r_second_positive_left_edge", "f_endpoints", "f_convex"]
+G_CHECKS = ["g_increasing", "g_at_m_minus_one_closed_form",
+            "r_second_at_m_minus_one_closed_form"]
 
 
 class TestCertifyProof:
@@ -104,6 +119,18 @@ class TestCertifyProof:
         names = [c.name for c in rep.checks]
         # negativity of R''(m-1) only applies from m = 5 up
         assert "r_second_negative_at_m_minus_one" not in names
+
+    @pytest.mark.parametrize("m, names", [
+        (2, BASE_CHECKS + ["unique_inflection"]),
+        (3, BASE_CHECKS + G_CHECKS + ["unique_inflection"]),
+        (5, BASE_CHECKS + G_CHECKS + ["g_at_m_minus_one_above_minus_two",
+                                      "r_second_negative_at_m_minus_one",
+                                      "unique_inflection", "inflection_residual",
+                                      "inflection_in_open_interval"] + DELTA_CHECKS),
+    ])
+    def test_check_names_and_order(self, m, names):
+        # the order is the order of the checks printed by `rfunc certify`
+        assert [c.name for c in certify_proof(m).checks] == names
 
     def test_json_schema(self):
         doc = json.loads(certify_proof(5).to_json())
