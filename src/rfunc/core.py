@@ -256,10 +256,10 @@ def _c(delta, m):
 
 
 def _a(delta, m):
-    a = ((m * _c(delta, m)) ** 2 - 1.0) / (m - 1.0)
-    if np.any(a <= 0.0):
-        raise ArithmeticError("A(delta) must be positive")
-    return a
+    # (1-gamma)/((m-1) gamma) at L = m-1+delta, from 1-gamma = ((L-1)/w)^2, 1/gamma =
+    # (m C)^2 and w/(m C) = sqrt(m-1) + sqrt(L(1-delta)): no cancellation at m = 2
+    den = np.sqrt(m - 1.0) + np.sqrt((m - 1.0 + delta) * (1.0 - delta))
+    return ((m - 2.0 + delta) / den) ** 2 / (m - 1.0)
 
 
 def _b(delta, m):
@@ -287,9 +287,10 @@ def b_value(delta, m):
 def big_f_value(delta, m):
     """F(delta) = (1/2) B(delta) log A(delta), natural log.
 
-    F(0) = log((m-2)/(2(m-1))).  For m >= 5, F stays strictly above -1 on
-    [0, 1), tending to -1 from above as delta -> 1; this is what rules out
-    a zero of R'' right of m-1.  F is not monotone in delta.
+    F(0) = log((m-2)/(2(m-1))), which is -inf at m = 2.  For m >= 5, F stays
+    strictly above -1 on [0, 1), tending to -1 from above as delta -> 1; this
+    is what rules out a zero of R'' right of m-1.  F is not monotone in delta.
     """
     delta, m = check_delta(delta, m), int(m)
-    return _out(0.5 * _b(delta, m) * np.log(_a(delta, m)))
+    with np.errstate(divide="ignore"):  # log A(0) = log 0 at m = 2
+        return _out(0.5 * _b(delta, m) * np.log(_a(delta, m)))

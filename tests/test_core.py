@@ -265,6 +265,22 @@ class TestRightIntervalFunctions:
         assert a_value(0.0, 5) == pytest.approx(0.140625, abs=1e-15)
         assert a_value(0.0, 10) == pytest.approx((8.0 / 18.0) ** 2, abs=1e-15)
 
+    @pytest.mark.parametrize("m", [2, 3, 1000])
+    def test_a_matches_mpmath_near_zero(self, m):
+        # A = (1-gamma)/((m-1) gamma) at lambda = m-1+delta, from gamma's
+        # definition at 50 digits; at m = 2 it vanishes at delta = 0
+        mpmath = pytest.importorskip("mpmath")
+        deltas = [0.0, 1e-9, 1e-8, 1e-4, 0.5]
+        got = a_value(np.array(deltas), m)
+        with mpmath.workdps(50):
+            for delta, a in zip(deltas, got):
+                lam = m - 1 + mpmath.mpf(delta)
+                gam = (mpmath.sqrt(lam) + mpmath.sqrt((m - 1) * (m - lam))) ** 2 / m ** 2
+                ref = (1 - gam) / ((m - 1) * gam)
+                assert abs(a - ref) <= 1e-15 * ref, f"delta={delta}: {a!r} vs {ref}"
+        assert a_value(0.0, 2) == 0.0
+        assert big_f_value(0.0, 2) == -np.inf
+
     def test_b_at_zero_and_divergence(self):
         for m in (2, 5, 30):
             assert b_value(0.0, m) == pytest.approx(1.0, abs=1e-15)
