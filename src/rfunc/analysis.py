@@ -188,7 +188,8 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
 
     identity("f_endpoints", "f(1) = f(m-1) = -2",
              max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0)))
-    d2f = np.diff(f_value(grid, m), 2)
+    fv = f_value(grid, m)
+    d2f = np.diff(fv, 2)
     rep.add("f_convex", "second differences of f are nonnegative",
             np.min(d2f), -1e-10, np.all(d2f >= -1e-10))
 

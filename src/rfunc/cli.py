@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 certification failure, 2 usage/validation error,
 3 I/O error.  The default log base is "two" and can be overridden with the
-RFUN_LOG_BASE environment variable or the --log flag.
+RFUN_LOG_BASE environment variable or the --log flag; an RFUN_LOG_BASE other
+than "two" or "natural" is a usage error.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ _EVAL = {
     "f": lambda lam, m, base: f_value(lam, m),
     "hull": lambda lam, m, base: hull_value(lam, m, base=base),
 }
-
-
-def _default_base() -> str:
-    base = os.environ.get("RFUN_LOG_BASE", "two")
-    return base if base in BASES else "two"
 
 
 def _fmt(value: float) -> str:
@@ -131,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_log(p):
-        p.add_argument("--log", choices=BASES, default=_default_base(),
+        p.add_argument("--log", choices=BASES,
+                       default=os.environ.get("RFUN_LOG_BASE", "two"),
                        help="logarithm base for entropic quantities")
 
     p_eval = sub.add_parser("eval", help="evaluate one scalar function")
@@ -173,6 +170,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse checks --log against BASES but not the default it takes
+        # from RFUN_LOG_BASE
+        if getattr(args, "log", "two") not in BASES:
+            raise ValueError(f"RFUN_LOG_BASE must be one of {BASES}, got {args.log!r}")
         return args.func(args)
     except (DomainError, StateValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -187,3 +187,20 @@ class TestUsage:
     def test_exit_codes_disjoint(self):
         from rfunc.cli import EXIT_CERTIFY_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE
         assert len({EXIT_OK, EXIT_CERTIFY_FAIL, EXIT_USAGE, EXIT_IO}) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--m", "5", "--lambda", "5", "--which", "R"],
+        ["table", "--m", "3", "--grid", "100"],
+        ["eof", "isotropic", "--d", "3", "--F", "0.2"],  # 0 without a base conversion
+        ["eof", "bound", "--state", "unread.json"],
+    ])
+    def test_invalid_env_base_exit_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("RFUN_LOG_BASE", "bits")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "RFUN_LOG_BASE" in err and "'bits'" in err
+
+    def test_certify_ignores_env_base(self, capsys, monkeypatch):
+        monkeypatch.setenv("RFUN_LOG_BASE", "bits")
+        code, _, _ = run(capsys, "certify", "--m", "5")
+        assert code == 0
