@@ -15,16 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _MATH, _a, _args, _b, _big_f, _f, _g, _r, _rpp, _wx
 from .core import (
     TOL,
-    _MATH,
-    _args,
-    _f,
-    _g,
-    _r,
     big_f_value,
-    a_value,
-    b_value,
     check_dimension,
     convert_base,
     f_value,
@@ -136,7 +130,7 @@ def find_inflection(m) -> InflectionResult:
         return InflectionResult(None, bracket, it)
     while hi - lo > 1e-12 and it < 200:
         mid = 0.5 * (lo + hi)
-        diff = _g(mid, m, _MATH) - _f(mid, m, _MATH)
+        diff = _g(mid, m, _MATH, *_wx(mid, m, _MATH)) - _f(mid, m, _MATH)
         if diff == 0.0:
             return InflectionResult(mid, bracket, it)
         if diff < 0.0:
@@ -145,6 +139,24 @@ def find_inflection(m) -> InflectionResult:
             hi = mid
         it += 1
     return InflectionResult(0.5 * (lo + hi), bracket, it)
+
+
+def _grid_values(m: int, grid_size: int) -> dict:
+    """The arrays ``certify_proof`` checks, each grid evaluated once on the kernels."""
+    # the grids lie inside the domain by construction: no checks needed
+    grid = np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset, grid_size)
+    w, x = _wx(grid, m, np)
+    g = _g(grid, m, np, w, x)
+    vals = {"grid": grid, "gamma": 1.0 - x, "r": convert_base(_r(x, m, np), "two"),
+            "g": g, "r_second": _rpp(grid, m, np, g), "f": _f(grid, m, np)}
+    if m >= 3:
+        ggrid = np.linspace(1.0 + TOL.grid_left_offset, float(m - 1), grid_size)
+        vals.update(ggrid=ggrid, g_ggrid=_g(ggrid, m, np, *_wx(ggrid, m, np)))
+    if m >= 5:
+        deltas = np.linspace(0.0, 1.0 - 1e-6, grid_size)
+        a, b = _a(deltas, m), _b(deltas, m)
+        vals.update(deltas=deltas, a=a, b=b, big_f=_big_f(a, b))
+    return vals
 
 
 def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
@@ -159,7 +171,7 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     rep = CertificateReport(m)
-    grid = np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset, grid_size)
+    vals = _grid_values(m, grid_size)
 
     def identity(name, claim, err):
         rep.add(name, claim, err, 1e-12, err <= 1e-12)
@@ -173,12 +185,12 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     identity("r_at_one", "R(1) = 0", abs(r_value(1.0, m)))
     identity("r_at_m", "R(m) = log2(m)", abs(r_value(float(m), m) - np.log2(m)))
 
-    gam = gamma_value(grid, m)
+    steps = np.diff(vals["gamma"])
     rep.add("gamma_nonincreasing", "gamma is nonincreasing on [1, m]",
-            np.max(np.diff(gam)), 0.0, np.all(np.diff(gam) <= 0.0))
-    rv = r_value(grid, m)
+            np.max(steps), 0.0, np.all(steps <= 0.0))
+    steps = np.diff(vals["r"])
     rep.add("r_nondecreasing", "R is nondecreasing on [1, m]",
-            np.min(np.diff(rv)), 0.0, np.all(np.diff(rv) >= 0.0))
+            np.min(steps), 0.0, np.all(steps >= 0.0))
 
     # R'' is positive just right of 1 (the divergence there is logarithmic,
     # so "large" cannot mean more than a few tens in double precision).
@@ -188,15 +200,13 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
 
     identity("f_endpoints", "f(1) = f(m-1) = -2",
              max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0)))
-    fv = f_value(grid, m)
-    d2f = np.diff(fv, 2)
+    d2f = np.diff(vals["f"], 2)
     rep.add("f_convex", "second differences of f are nonnegative",
             np.min(d2f), -1e-10, np.all(d2f >= -1e-10))
 
     if m >= 3:
-        ggrid = np.linspace(1.0 + TOL.grid_left_offset, float(m - 1), grid_size)
         increasing("g_increasing", "g strictly increasing on (1, m-1]",
-                   g_value(ggrid, m))
+                   vals["g_ggrid"])
         log_ratio = np.log((m - 2.0) / (2.0 * (m - 1.0)))
         gm1 = g_value(float(m - 1), m)
         identity("g_at_m_minus_one_closed_form", "g(m-1) = 2 log((m-2)/(2(m-1)))",
@@ -213,7 +223,7 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
                     rpp_m1, 0.0, rpp_m1 < 0.0)
 
     expected = 0 if m == 2 else 1
-    count = _sign_changes(r_second(grid, m))
+    count = _sign_changes(vals["r_second"])
     rep.add("unique_inflection",
             f"exactly {expected} sign change(s) of R'' on (1, m)",
             count, expected, count == expected)
@@ -228,20 +238,19 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
                 res.lambda0, float(m - 1),
                 1.0 < res.lambda0 < m - 1.0)
 
-        deltas = np.linspace(0.0, 1.0 - 1e-6, grid_size)
         f0 = big_f_value(0.0, m)
         identity("big_f_at_zero_closed_form", "F(0) = log((m-2)/(2(m-1)))",
                  abs(f0 - log_ratio))
         log_3_8 = np.log(3.0 / 8.0)
         rep.add("big_f_at_zero_lower_bound", "F(0) >= log(3/8) > -1",
                 f0, log_3_8, f0 >= log_3_8 - 1e-12)
-        fvals = big_f_value(deltas, m)
+        fvals = vals["big_f"]
         rep.add("big_f_above_minus_one", "F(delta) > -1 on [0, 1)",
                 np.min(fvals), -1.0, np.all(fvals > -1.0))
         increasing("a_increasing", "A(delta) strictly increasing on [0, 1)",
-                   a_value(deltas, m))
+                   vals["a"])
         increasing("b_increasing", "B(delta) strictly increasing on [0, 1)",
-                   b_value(deltas, m))
+                   vals["b"])
 
     return rep
 
@@ -275,7 +284,7 @@ def hull_value(lam, m, base: str = "two"):
     out = val + slope * (lam - lam_star)  # the line; R replaces it up to lambda*
     if xp is np:
         on_curve = lam <= lam_star
-        out[on_curve] = _r(lam[on_curve], m, np)
+        out[on_curve] = _r(_wx(lam[on_curve], m, np)[1], m, np)
     elif lam <= lam_star:
-        out = _r(lam, m, xp)
+        out = _r(_wx(lam, m, xp)[1], m, xp)
     return convert_base(out, base)

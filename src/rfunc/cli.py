@@ -81,6 +81,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_table(args) -> int:
     m = check_dimension(args.m)
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     grid = np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset,
                        args.grid)
     base = args.log

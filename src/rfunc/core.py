@@ -7,10 +7,11 @@ log2(e).  All functions accept numpy arrays for their real argument and
 broadcast elementwise; a scalar argument gives a Python float.
 
 Each public function validates its arguments once and then calls the private
-kernels below (``_omg``, ``_g``, ...), which take a lambda (or delta) that is
+kernels below (``_wx``, ``_g``, ...), which take a lambda (or delta) that is
 already checked and clipped and an int m, and do no checking of their own.
 The lambda kernels run over a namespace ``xp``, picked once by ``_args``:
-``_MATH`` (the ``math`` module) for a float, ``np`` for an array.
+``_MATH`` (the ``math`` module) for a float, ``np`` for an array.  Kernels
+that need w or x = 1 - gamma take them from one ``_wx`` call per public call.
 """
 
 from __future__ import annotations
@@ -150,56 +151,54 @@ def _args(lam, m):
     return lam, int(m), (_MATH if type(lam) is float else np)
 
 
-def _w(lam, m, xp):
-    # sqrt((m-1)L) + sqrt(m-L); the difference of the two roots is m(L-1)/w
-    return xp.sqrt((m - 1.0) * lam) + xp.sqrt(m - lam)
+def _wx(lam, m, xp):
+    # w = sqrt((m-1)L) + sqrt(m-L), and x = 1 - gamma = (sqrt((m-1)L) -
+    # sqrt(m-L))^2 / m^2 = ((L-1)/w)^2, since the difference of the two roots
+    # is m(L-1)/w: exact in (L - 1), so no cancellation near lambda = 1
+    w = xp.sqrt((m - 1.0) * lam) + xp.sqrt(m - lam)
+    return w, ((lam - 1.0) / w) ** 2
 
 
-def _omg(lam, m, xp):
-    # 1 - gamma = (sqrt((m-1)L) - sqrt(m-L))^2 / m^2 = ((L-1)/w)^2, which is
-    # exact in (L - 1): no cancellation near lambda = 1
-    return ((lam - 1.0) / _w(lam, m, xp)) ** 2
-
-
-def _gp(lam, m, xp):
+def _gp(lam, m, xp, w, x):
     # (1/sqrt(L) - sqrt((m-1)/(m-L))) = (v - u)/sqrt(L(m-L)) with
     # v - u = -m(L-1)/w; combined with the sqrt(gamma) prefactor.
-    return (-xp.sqrt(1.0 - _omg(lam, m, xp)) * (lam - 1.0)
-            / (_w(lam, m, xp) * xp.sqrt(lam * (m - lam))))
+    return -xp.sqrt(1.0 - x) * (lam - 1.0) / (w * xp.sqrt(lam * (m - lam)))
 
 
 def _gpp(lam, m, xp):
     return -0.5 * xp.sqrt(m - 1.0) * (lam * (m - lam)) ** -1.5
 
 
-def _g(lam, m, xp):
+def _g(lam, m, xp, w, x):
     # log(1-gamma) expanded through the stable form to keep precision near 1.
-    return (2.0 * (xp.log(lam - 1.0) - xp.log(_w(lam, m, xp)))
-            - xp.log(m - 1.0)
-            - xp.log1p(-_omg(lam, m, xp)))
+    return 2.0 * (xp.log(lam - 1.0) - xp.log(w)) - xp.log(m - 1.0) - xp.log1p(-x)
+
+
+def _rpp(lam, m, xp, g):
+    # R'' = gamma'' g - 1/(L(m-L)), from a g already computed
+    return _gpp(lam, m, xp) * g - 1.0 / (lam * (m - lam))
 
 
 def _f(lam, m, xp):
     return -2.0 * xp.sqrt(lam * (m - lam) / (m - 1.0))
 
 
-def _r(lam, m, xp):
-    # natural-log R
-    x = _omg(lam, m, xp)
+def _r(x, m, xp):
+    # natural-log R from x = 1 - gamma
     return _h2(1.0 - x, xp) + x * xp.log(m - 1.0)
 
 
 def gamma_value(lam, m):
     """gamma(lambda) = (sqrt(L) + sqrt((m-1)(m-L)))^2 / m^2, in [1/m, 1]."""
     lam, m, xp = _args(lam, m)
-    return 1.0 - _omg(lam, m, xp)
+    return 1.0 - _wx(lam, m, xp)[1]
 
 
 def gamma_first(lam, m):
     """d gamma / d lambda; zero at lambda = 1, negative on (1, m)."""
     lam, m, xp = _args(lam, m)
     _require(lam < m, "gamma_first is singular at lambda = m")
-    return _gp(lam, m, xp)
+    return _gp(lam, m, xp, *_wx(lam, m, xp))
 
 
 def gamma_second(lam, m):
@@ -212,7 +211,7 @@ def gamma_second(lam, m):
 def r_value(lam, m, base: str = "two"):
     """R(lambda) = H2(gamma) + (1 - gamma) log(m-1); R(1)=0, R(m)=log m."""
     lam, m, xp = _args(lam, m)
-    return convert_base(_r(lam, m, xp), base)
+    return convert_base(_r(_wx(lam, m, xp)[1], m, xp), base)
 
 
 def g_value(lam, m):
@@ -222,14 +221,15 @@ def g_value(lam, m):
     """
     lam, m, xp = _args(lam, m)
     _require(lam > 1.0, "g_value is singular at lambda = 1")
-    return _g(lam, m, xp)
+    return _g(lam, m, xp, *_wx(lam, m, xp))
 
 
 def r_first(lam, m, base: str = "two"):
     """R'(lambda) = gamma'(lambda) g(lambda); nonnegative on (1, m)."""
     lam, m, xp = _args(lam, m)
     _require((lam > 1.0) & (lam < m), "r_first requires 1 < lambda < m")
-    return convert_base(_gp(lam, m, xp) * _g(lam, m, xp), base)
+    w, x = _wx(lam, m, xp)
+    return convert_base(_gp(lam, m, xp, w, x) * _g(lam, m, xp, w, x), base)
 
 
 def r_second(lam, m):
@@ -240,7 +240,7 @@ def r_second(lam, m):
     """
     lam, m, xp = _args(lam, m)
     _require((lam > 1.0) & (lam < m), "r_second requires 1 < lambda < m")
-    return _gpp(lam, m, xp) * _g(lam, m, xp) - 1.0 / (lam * (m - lam))
+    return _rpp(lam, m, xp, _g(lam, m, xp, *_wx(lam, m, xp)))
 
 
 def f_value(lam, m):
@@ -264,6 +264,11 @@ def _a(delta, m):
 
 def _b(delta, m):
     return np.sqrt((m - 1.0) / ((m - 1.0 + delta) * (1.0 - delta)))
+
+
+def _big_f(a, b):
+    with np.errstate(divide="ignore"):  # log A(0) = log 0 at m = 2
+        return 0.5 * b * np.log(a)
 
 
 def c_value(delta, m):
@@ -292,5 +297,4 @@ def big_f_value(delta, m):
     is what rules out a zero of R'' right of m-1.  F is not monotone in delta.
     """
     delta, m = check_delta(delta, m), int(m)
-    with np.errstate(divide="ignore"):  # log A(0) = log 0 at m = 2
-        return _out(0.5 * _b(delta, m) * np.log(_a(delta, m)))
+    return _out(_big_f(_a(delta, m), _b(delta, m)))

@@ -6,16 +6,21 @@ import pytest
 from conftest import hull_oracle
 
 from rfunc import (
+    a_value,
+    b_value,
+    big_f_value,
     certify_proof,
     f_value,
     find_inflection,
     find_tangent,
     g_value,
+    gamma_value,
     hull_value,
     r_first,
     r_value,
     r_second,
 )
+from rfunc.analysis import _grid_values
 
 
 class TestFindInflection:
@@ -141,6 +146,25 @@ class TestCertifyProof:
             assert set(check) == {"name", "claim", "measured", "threshold", "pass"}
             assert isinstance(check["pass"], bool)
             assert isinstance(check["measured"], float)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 10 ** 3, 10 ** 6])
+    def test_grid_values_equal_public_functions(self, m):
+        # certify_proof runs the kernels on its grids unchecked; every array
+        # must equal the checked public function on the same grid, bit for bit
+        vals = _grid_values(m, 10_000)
+        grid = vals["grid"]
+        want = {"gamma": gamma_value(grid, m), "r": r_value(grid, m),
+                "g": g_value(grid, m), "r_second": r_second(grid, m),
+                "f": f_value(grid, m)}
+        if m >= 3:
+            want["g_ggrid"] = g_value(vals["ggrid"], m)
+        if m >= 5:
+            deltas = vals["deltas"]
+            want.update(a=a_value(deltas, m), b=b_value(deltas, m),
+                        big_f=big_f_value(deltas, m))
+        assert set(vals) - {"grid", "ggrid", "deltas"} == set(want)
+        for name, expected in want.items():
+            assert np.array_equal(vals[name], expected), name
 
 
 class TestTangent:

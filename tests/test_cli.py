@@ -137,6 +137,19 @@ class TestTable:
         _, out2, _ = run(capsys, "table", "--m", "5", "--grid", "200")
         assert out1 == out2
 
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_grid_below_one_exit_2(self, capsys, grid):
+        code, out, err = run(capsys, "table", "--m", "4", "--grid", grid)
+        assert code == 2 and out == ""
+        assert "--grid" in err
+
+    def test_grid_one_single_row(self, capsys):
+        code, out, _ = run(capsys, "table", "--m", "4", "--grid", "1")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 2 and lines[0] == "lambda,R,R_second,hull"
+        assert float(lines[1].split(",")[0]) == 1.0 + 1e-6
+
 
 class TestEof:
     def test_isotropic_maximal_qubit(self, capsys):

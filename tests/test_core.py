@@ -25,7 +25,7 @@ from rfunc import (
     r_second,
     r_value,
 )
-from rfunc.core import check_delta
+from rfunc.core import _MATH, _g, _gp, _r, _rpp, _wx, check_delta
 
 
 class TestBinaryEntropy:
@@ -375,6 +375,26 @@ class TestScalarPath:
     def test_bad_scalars_rejected(self, lam):
         with pytest.raises(DomainError):
             r_value(lam, 5)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 64, 10 ** 3, 10 ** 6])
+    def test_public_functions_are_their_kernels(self, m):
+        # A float runs the kernels on math and returns a float; a one-element
+        # array runs them on numpy.  Either way each public function must be
+        # its kernels on one shared (w, x), bit for bit.  The two namespaces
+        # themselves may differ in the last bits (math.log against numpy's
+        # SIMD log, C pow against x * x); the mpmath test below bounds that.
+        rng = np.random.default_rng(m)
+        for lam in rng.uniform(1.0, m, 50):
+            for arg, xp in ((float(lam), _MATH), (np.array([lam]), np)):
+                w, x = _wx(arg, m, xp)
+                g, gp = _g(arg, m, xp, w, x), _gp(arg, m, xp, w, x)
+                want = {gamma_value: 1.0 - x, gamma_first: gp, g_value: g,
+                        r_value: _r(x, m, xp) * LOG2E, r_first: gp * g * LOG2E,
+                        r_second: _rpp(arg, m, xp, g)}
+                for fn, expected in want.items():
+                    got = fn(arg, m)
+                    assert type(got) is type(expected), fn.__name__
+                    assert np.array_equal(got, expected), (fn.__name__, lam)
 
     def test_scalar_path_no_less_accurate_than_array_path(self):
         # Each function at float lambda (math kernels) and at a 1-element
