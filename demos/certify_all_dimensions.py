@@ -4,8 +4,10 @@ Every inequality the convexity analysis rests on (endpoint identities,
 monotonicity and convexity of the auxiliary functions g and f, uniqueness of
 the inflection point, and the F(delta) > -1 bound on the right interval) is
 re-checked on dense grids.  The full JSON report for one dimension is shown
-at the end.
+at the end.  The script exits 1 if any dimension fails.
 """
+
+import sys
 
 from rfunc import certify_proof
 
@@ -23,3 +25,6 @@ print("all dimensions certified" if not failures else f"failures at m = {failure
 print()
 print("full report for m = 5:")
 print(certify_proof(5).to_json(indent=2))
+
+if failures:
+    sys.exit(1)

@@ -1,14 +1,17 @@
 """Command-line front end: evaluate, certify, tabulate and compute EOF values.
 
 Exit codes: 0 success, 1 certification failure, 2 usage/validation error,
-3 I/O error.  The default log base is "two" and can be overridden with the
-RFUN_LOG_BASE environment variable or the --log flag; an RFUN_LOG_BASE other
-than "two" or "natural" is a usage error.
+3 I/O error.  The default log base is "two".  The RFUN_LOG_BASE environment
+variable overrides it and is read on every call of ``main``; the --log flag
+overrides both.  An RFUN_LOG_BASE other than "two" or "natural" is a usage
+error.  The argument parser is built once per process, on the first call of
+``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -109,7 +112,7 @@ def _cmd_eof(args) -> int:
         print(_fmt(isotropic_eof(args.d, args.F, base=args.log)))
     else:
         try:
-            with open(args.state) as fh:
+            with open(args.state, encoding="utf-8") as fh:
                 rho = load_state(fh)
         except OSError as exc:
             print(f"cannot read {args.state}: {exc}", file=sys.stderr)
@@ -129,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_log(p):
-        p.add_argument("--log", choices=BASES,
-                       default=os.environ.get("RFUN_LOG_BASE", "two"),
+        # None means "not given": main reads RFUN_LOG_BASE on every call
+        p.add_argument("--log", choices=BASES, default=None,
                        help="logarithm base for entropic quantities")
 
     p_eval = sub.add_parser("eval", help="evaluate one scalar function")
@@ -168,14 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs more than parsing one command line; a cached
+    # parser holds no per-call state, since --log defaults to None
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        # argparse checks --log against BASES but not the default it takes
-        # from RFUN_LOG_BASE
-        if getattr(args, "log", "two") not in BASES:
-            raise ValueError(f"RFUN_LOG_BASE must be one of {BASES}, got {args.log!r}")
+        if getattr(args, "log", "") is None:
+            args.log = os.environ.get("RFUN_LOG_BASE", "two")
+            # argparse checks --log against BASES, but not the environment
+            if args.log not in BASES:
+                raise ValueError(f"RFUN_LOG_BASE must be one of {BASES}, got {args.log!r}")
         return args.func(args)
     except (DomainError, StateValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -179,17 +179,31 @@ def isotropic_state(d, fidelity) -> DensityMatrix:
 
 
 def load_state(source) -> DensityMatrix:
-    """Read a state from the JSON format {"dims": [m, n], "matrix": [[[re, im], ...], ...]}."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+    """Read a state from the JSON format {"dims": [m, n], "matrix": [[[re, im], ...], ...]}.
+
+    ``source`` is a path or a file object holding UTF-8 JSON.  Text that is
+    not UTF-8, or nests too deeply for the JSON decoder, raises
+    StateValidationError; malformed JSON raises json.JSONDecodeError.
+    """
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        doc = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise StateValidationError(
+            f"state file is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except RecursionError:
+        raise StateValidationError("state file nests too deeply to decode") from None
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise StateValidationError('state file must contain "dims" and "matrix"')
     dims = doc["dims"]
     if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(d, int) for d in dims)):
+            or not all(type(d) is int for d in dims)):  # JSON true is a bool, not a dimension
         raise DimensionMismatchError('"dims" must be a pair of integers')
     rows = doc["matrix"]
     size = dims[0] * dims[1]
@@ -201,7 +215,11 @@ def load_state(source) -> DensityMatrix:
         a = np.empty(0)
     if a.shape != (size, size, 2):
         raise DimensionMismatchError(f"matrix must be {size} x {size} [re, im] pairs")
-    if a.dtype.kind not in "biuf":  # strings, None, objects
+    # the dtype catches strings, None and all-boolean rows; np.array reads a
+    # true among numbers as 1.0, so the rows are scanned for booleans, but
+    # only when the text holds a JSON boolean at all
+    if a.dtype.kind not in "iuf" or (("true" in text or "false" in text) and any(
+            type(v) is bool for row in rows for pair in row for v in pair)):
         raise StateValidationError("matrix entries must be numbers")
     mat = np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
     return validate_state(mat, dims)

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rfunc import dump_state, max_entangled_state
+from rfunc import cli, dump_state, max_entangled_state
 from rfunc.cli import main
 
 
@@ -181,6 +184,22 @@ class TestEof:
         assert code == 2
         assert "matrix must have 4 rows" in err
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"dims": [2, 2], "matrix": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "nests too deeply"),
+        (b'\xff{"dims": [2, 2], "matrix": []}', "not UTF-8"),
+        # read as numbers, the rows would be the valid pure state |00><00|
+        (json.dumps({"dims": [2, 2], "matrix": [[[i == j == 0, False] for j in range(4)]
+                                                for i in range(4)]}).encode(),
+         "must be numbers"),
+    ], ids=["deeply_nested", "not_utf8", "booleans"])
+    def test_undecodable_state_file_exit_2(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "eof", "bound", "--state", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("invalid state file: ") and message in err
+
     def test_invalid_state_names_first_failure(self, capsys, tmp_path):
         rows = [[[0.5 if i == j else 0.0, 0.0] for j in range(4)]
                 for i in range(4)]
@@ -214,6 +233,59 @@ class TestUsage:
         assert "RFUN_LOG_BASE" in err and "'bits'" in err
 
     def test_certify_ignores_env_base(self, capsys, monkeypatch):
+        monkeypatch.delenv("RFUN_LOG_BASE", raising=False)
+        _, plain, _ = run(capsys, "certify", "--m", "5")
+        for base in ("bits", "natural"):
+            monkeypatch.setenv("RFUN_LOG_BASE", base)
+            code, out, _ = run(capsys, "certify", "--m", "5")
+            assert code == 0 and out == plain
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        cli._parser.cache_clear()
+        path = tmp_path / "bell22.json"
+        dump_state(max_entangled_state(2), str(path))
+        for _ in range(3):
+            assert run(capsys, "eof", "bound", "--state", str(path))[0] == 0
+        assert run(capsys, "eval", "--m", "5", "--lambda", "5", "--which", "R")[0] == 0
+        assert len(calls) == 1
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter, so that no earlier test has built the parser
+        script = ("import argparse\n"
+                  "built = []\n"
+                  "init = argparse.ArgumentParser.__init__\n"
+                  "argparse.ArgumentParser.__init__ = "
+                  "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+                  "import rfunc, rfunc.cli\n"
+                  "print(len(built), rfunc.cli._parser.cache_info().currsize)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]
+
+    def test_env_base_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["eval", "--m", "5", "--lambda", "5", "--which", "R"]
+        monkeypatch.setenv("RFUN_LOG_BASE", "natural")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and float(out) == pytest.approx(np.log(5), abs=1e-14)
+        monkeypatch.setenv("RFUN_LOG_BASE", "two")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.strip() == f"{np.log2(5):.15g}"
         monkeypatch.setenv("RFUN_LOG_BASE", "bits")
-        code, _, _ = run(capsys, "certify", "--m", "5")
-        assert code == 0
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "'bits'" in err
+
+    def test_log_flag_does_not_carry_over(self, capsys, monkeypatch):
+        monkeypatch.delenv("RFUN_LOG_BASE", raising=False)
+        argv = ["eof", "isotropic", "--d", "3", "--F", "0.9"]
+        _, natural, _ = run(capsys, *argv, "--log", "natural")
+        _, default, _ = run(capsys, *argv)
+        _, two, _ = run(capsys, *argv, "--log", "two")
+        assert default == two != natural

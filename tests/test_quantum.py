@@ -260,8 +260,9 @@ class TestStateFileFormat:
             self._load({"dims": [2, 2]})
 
     def test_bad_dims(self):
-        with pytest.raises(DimensionMismatchError):
-            self._load({"dims": [2.5, 2], "matrix": []})
+        for dims in ([2.5, 2], [True, 2]):
+            with pytest.raises(DimensionMismatchError, match="pair of integers"):
+                self._load({"dims": dims, "matrix": []})
 
     def test_ragged_rows(self):
         rows = [[[0.25, 0.0]] * 4 for _ in range(4)]
@@ -289,4 +290,12 @@ class TestStateFileFormat:
                 for i in range(4)]
         rows[1][2] = entry
         with pytest.raises(StateValidationError):
+            self._load({"dims": [2, 2], "matrix": rows})
+
+    @pytest.mark.parametrize("zero", [0.0, False])
+    def test_boolean_entries(self, zero):
+        # read as numbers, these rows are the valid pure state |00><00|
+        rows = [[[zero, zero] for _ in range(4)] for _ in range(4)]
+        rows[0][0] = [True, zero]
+        with pytest.raises(StateValidationError, match="must be numbers"):
             self._load({"dims": [2, 2], "matrix": rows})
