@@ -16,6 +16,7 @@ from rfunc import (
     TraceError,
     dump_state,
     eof_lower_bound,
+    hull_value,
     isotropic_eof,
     isotropic_state,
     lambda_of_state,
@@ -61,6 +62,19 @@ class TestValidateState:
     def test_tiny_negative_eigenvalue_tolerated(self):
         mat = np.diag([0.5, 0.5 + 1e-12, -1e-12, 0.0])
         assert validate_state(mat, (2, 2)).m == 2
+
+    @pytest.mark.parametrize("dims", [
+        (2.7, 2), [2, 2.5], ("2", "2"), (b"2", 2), (True, 2), (2, np.bool_(True)),
+        (np.nan, 2), (1, 4), (2, 2, 1), (2,), 4, None])
+    def test_bad_dims_rejected(self, dims):
+        with pytest.raises(DimensionMismatchError, match="two integers >= 2"):
+            validate_state(np.eye(4) / 4.0, dims)
+
+    @pytest.mark.parametrize("dims", [(2.0, 2), (np.int64(2), 2), np.array([2, 2])])
+    def test_integral_dims_accepted(self, dims):
+        rho = validate_state(np.eye(4) / 4.0, dims)
+        assert rho.dims == (2, 2)
+        assert all(type(d) is int for d in rho.dims)
 
 
 class TestPartialTranspose:
@@ -137,8 +151,10 @@ class TestTraceNorm:
             assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            trace_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        # a NaN imaginary part must raise, not be dropped by the real-part test
+        for bad in (np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValueError):
+                trace_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestLambdaOfState:
@@ -178,6 +194,88 @@ class TestLambdaOfState:
         rho = validate_state(mat, dims)
         svd_sum = np.linalg.svd(partial_transpose(rho), compute_uv=False).sum()
         assert abs(lambda_of_state(rho).ppt_norm - svd_sum) <= 1e-13 * svd_sum
+
+
+def _real_states():
+    """Real-valued states: isotropic for d = 2..24, and seeded mixed and pure."""
+    rng = np.random.default_rng(18)
+    for d in range(2, 25):
+        yield isotropic_state(d, rng.uniform(0.0, 1.0))
+    for m, n in ((2, 2), (2, 3), (3, 3), (4, 3), (5, 5)):
+        g = rng.normal(size=(m * n, 2))
+        yield validate_state(g @ g.T / np.sum(g * g), (m, n))
+        psi = rng.normal(size=m * n)
+        yield validate_state(np.outer(psi, psi) / (psi @ psi), (m, n))
+
+
+class TestRealDrivers:
+    """States with zero imaginary parts go to LAPACK's real drivers."""
+
+    @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64), (1e-3, np.complex128)])
+    def test_driver_follows_imaginary_part(self, monkeypatch, imag, dtype):
+        seen = []
+        for name in ("eigvalsh", "norm"):
+            fn = getattr(np.linalg, name)
+
+            def spy(a, *args, _fn=fn):
+                seen.append(a.dtype)
+                return _fn(a, *args)
+            monkeypatch.setattr(np.linalg, name, spy)
+        mat = isotropic_state(3, 0.8).matrix.copy()
+        mat[0, 1] += 1j * imag
+        mat[1, 0] -= 1j * imag
+        rho = validate_state(mat, (3, 3))
+        eof_lower_bound(rho)
+        trace_norm(mat)
+        assert rho.matrix.dtype == np.complex128
+        assert seen == [dtype] * 4
+
+    def test_isotropic_ppt_norm_closed_form(self):
+        # the real path stays within the complex path's worst error of the
+        # closed form ||rho^T_B||_1 = max(1, dF)
+        rng = np.random.default_rng(19)
+        real_err, complex_err = [], []
+        for d in range(2, 25):
+            for fid in rng.uniform(0.0, 1.0, size=2):
+                rho = isotropic_state(d, fid)
+                exact = max(1.0, d * fid)
+                pt = partial_transpose(rho)
+                assert pt.dtype == np.complex128
+                complex_norm = np.abs(np.linalg.eigvalsh(pt)).sum()
+                complex_err.append(abs(complex_norm - exact))
+                real_err.append(abs(lambda_of_state(rho).ppt_norm - exact))
+        assert max(real_err) <= max(complex_err)
+
+    def test_agrees_with_complex_drivers(self):
+        for rho in _real_states():
+            assert not rho.matrix.imag.any()
+            ppt = np.abs(np.linalg.eigvalsh(partial_transpose(rho))).sum()
+            ccnr = np.linalg.norm(realign(rho), "nuc")
+            bound = hull_value(min(float(rho.m), max(1.0, ppt, ccnr)), rho.m)
+            est = lambda_of_state(rho)
+            assert abs(est.ccnr_norm - ccnr) <= 1e-14 * ccnr
+            assert abs(eof_lower_bound(rho) - bound) <= 1e-14 * bound
+
+    def test_real_asymmetric_rejected(self):
+        mat = np.eye(4) / 4.0
+        mat[0, 1] = 0.1
+        with pytest.raises(NotHermitianError):
+            validate_state(mat, (2, 2))
+
+    @pytest.mark.parametrize("spectrum", [[0.4, 0.3, 0.2, 0.1], [1.0, -0.1, 0.05, 0.05]])
+    def test_float_and_zero_imaginary_inputs_agree(self, spectrum):
+        q, _ = np.linalg.qr(np.random.default_rng(21).normal(size=(4, 4)))
+        mat = q @ np.diag(spectrum) @ q.T
+        mat = 0.5 * (mat + mat.T)
+
+        def outcome(raw):
+            try:
+                return eof_lower_bound(validate_state(raw, (2, 2)))
+            except NotPositiveError as exc:
+                return str(exc)
+        assert outcome(mat) == outcome(mat.astype(complex))
+        if min(spectrum) < 0:
+            assert "minimum eigenvalue" in outcome(mat)
 
 
 class TestIsotropicEof:
