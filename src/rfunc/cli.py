@@ -58,15 +58,13 @@ def _fmt(value: float) -> str:
 def _parse_m_range(text: str) -> list[int]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        # every m between two valid endpoints is valid; checking hi before
+        # range() also keeps an hi beyond the float range out of it
+        lo, hi = check_dimension(int(lo_s)), check_dimension(int(hi_s))
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        ms = list(range(lo, hi + 1))
-    else:
-        ms = [int(text)]
-    for m in ms:
-        check_dimension(m)
-    return ms
+        return list(range(lo, hi + 1))
+    return [check_dimension(int(text))]
 
 
 def _cmd_eval(args) -> int:

@@ -75,8 +75,14 @@ def _out(x):
 
 
 def check_dimension(m) -> int:
-    """Validate the local dimension m (integer, at least 2)."""
-    if isinstance(m, (str, bytes, bool)) or not float(m).is_integer():
+    """Validate the local dimension m (integer, at least 2, within the float range)."""
+    if isinstance(m, (str, bytes, bool)):
+        raise DomainError(f"dimension m must be an integer, got {m!r}")
+    try:
+        integral = float(m).is_integer()
+    except OverflowError:  # an int beyond the float range; its repr may be huge
+        raise DomainError("dimension m lies beyond the float range") from None
+    if not integral:
         raise DomainError(f"dimension m must be an integer, got {m!r}")
     m = int(m)
     if m < 2:

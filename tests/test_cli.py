@@ -216,6 +216,17 @@ class TestUsage:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--m", "1" + "0" * 400, "--lambda", "2", "--which", "R"],
+        ["certify", "--m", "1" + "0" * 400],
+        ["certify", "--m", "2..1" + "0" * 400],
+        ["eof", "isotropic", "--d", "1" + "0" * 400, "--F", "0.5"],
+    ], ids=["eval", "certify", "certify-range", "eof-isotropic"])
+    def test_dimension_beyond_float_range_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "beyond the float range" in err
+
     def test_exit_codes_disjoint(self):
         from rfunc.cli import EXIT_CERTIFY_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE
         assert len({EXIT_OK, EXIT_CERTIFY_FAIL, EXIT_USAGE, EXIT_IO}) == 4

@@ -336,10 +336,17 @@ class TestCheckDimension:
     def test_integers_accepted(self, m):
         assert check_dimension(m) == 5 and type(check_dimension(m)) is int
 
-    @pytest.mark.parametrize("m", ["5", b"5", True, 2.5, np.nan, np.inf, 1])
+    @pytest.mark.parametrize("m", ["5", b"5", True, 2.5, np.nan, np.inf, 1,
+                                   pytest.param(2**1024 - 1, id="2**1024-1")])
     def test_invalid_rejected(self, m):
         with pytest.raises(DomainError):
             check_dimension(m)
+
+    def test_int_beyond_float_range_names_the_range(self):
+        # float(m) raises OverflowError, which is not a ValueError
+        with pytest.raises(DomainError, match="beyond the float range"):
+            check_dimension(10**400)
+        assert check_dimension(2**1023) == 2**1023
 
     def test_string_m_rejected_by_public_functions(self):
         with pytest.raises(DomainError):

@@ -65,7 +65,7 @@ class TestValidateState:
 
     @pytest.mark.parametrize("dims", [
         (2.7, 2), [2, 2.5], ("2", "2"), (b"2", 2), (True, 2), (2, np.bool_(True)),
-        (np.nan, 2), (1, 4), (2, 2, 1), (2,), 4, None])
+        (np.nan, 2), (1, 4), (2, 2, 1), (2,), 4, None, (10**400, 2)])
     def test_bad_dims_rejected(self, dims):
         with pytest.raises(DimensionMismatchError, match="two integers >= 2"):
             validate_state(np.eye(4) / 4.0, dims)
@@ -276,6 +276,51 @@ class TestRealDrivers:
         assert outcome(mat) == outcome(mat.astype(complex))
         if min(spectrum) < 0:
             assert "minimum eigenvalue" in outcome(mat)
+
+
+def _oriented_states():
+    """Seeded complex and real mixed states and product states, wide and tall."""
+    for m, n in ((2, 3), (3, 5), (4, 9), (9, 4), (5, 3)):
+        rng = np.random.default_rng(100 * m + n)
+        g = rng.normal(size=(m * n, 3))
+        yield validate_state(random_density(rng, m, n), (m, n))
+        yield validate_state(g @ g.T / np.sum(g * g), (m, n))
+        yield validate_state(random_product_pure(rng, m, n), (m, n))
+
+
+class TestTallOrientation:
+    """A wide matrix's SVD is taken on its transpose, which has the same singular values."""
+
+    def test_lapack_sees_tall_matrices(self, monkeypatch):
+        states = list(_oriented_states())
+        shapes = []
+        norm = np.linalg.norm
+
+        def spy(a, *args):
+            shapes.append(a.shape)
+            return norm(a, *args)
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        for rho in states:
+            lambda_of_state(rho)
+            trace_norm(realign(rho))
+        assert len(shapes) == 30
+        assert all(rows >= cols for rows, cols in shapes)
+
+    def test_norms_match_singular_value_sum(self):
+        for rho in _oriented_states():
+            m, n = rho.dims
+            a = realign(rho)
+            assert a.shape == (m * m, n * n)
+            svd_sum = np.linalg.svd(a, compute_uv=False).sum()
+            assert abs(lambda_of_state(rho).ccnr_norm - svd_sum) <= 1e-14 * svd_sum
+            assert abs(trace_norm(a) - svd_sum) <= 1e-14 * svd_sum
+
+    def test_transpose_and_adjoint_agree(self):
+        for rho in _oriented_states():
+            a = realign(rho)
+            norm = trace_norm(a)
+            for b in (a.T, a.conj().T):
+                assert abs(trace_norm(b) - norm) <= 1e-14 * norm
 
 
 class TestIsotropicEof:
