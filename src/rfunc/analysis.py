@@ -45,7 +45,6 @@ class InflectionResult:
     """Location of the zero of R'' (absent when R'' keeps one sign)."""
 
     lambda0: float | None
-    bracket: tuple[float, float]
     iterations: int
 
 
@@ -121,24 +120,22 @@ def find_inflection(m) -> InflectionResult:
     carries ``lambda0 = None``.
     """
     m = check_dimension(m)
-    if m >= 5:
-        lo, hi = 1.0 + 1e-9, float(m - 1)
-    else:
-        lo, hi = float(m - 1), m - TOL.grid_right_offset
-    bracket, it = (lo, hi), 0
     if m == 2:
-        return InflectionResult(None, bracket, it)
+        return InflectionResult(None, 0)
+    lo, hi = ((1.0 + 1e-9, float(m - 1)) if m >= 5
+              else (float(m - 1), m - TOL.grid_right_offset))
+    it = 0
     while hi - lo > 1e-12 and it < 200:
         mid = 0.5 * (lo + hi)
         diff = _g(mid, m, _MATH, *_wx(mid, m, _MATH)) - _f(mid, m, _MATH)
         if diff == 0.0:
-            return InflectionResult(mid, bracket, it)
+            return InflectionResult(mid, it)
         if diff < 0.0:
             lo = mid
         else:
             hi = mid
         it += 1
-    return InflectionResult(0.5 * (lo + hi), bracket, it)
+    return InflectionResult(0.5 * (lo + hi), it)
 
 
 def _grid_values(m: int, grid_size: int) -> dict:

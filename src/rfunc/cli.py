@@ -1,11 +1,11 @@
 """Command-line front end: evaluate, certify, tabulate and compute EOF values.
 
-Exit codes: 0 success, 1 certification failure, 2 usage/validation error,
-3 I/O error.  The default log base is "two".  The RFUN_LOG_BASE environment
-variable overrides it and is read on every call of ``main``; the --log flag
-overrides both.  An RFUN_LOG_BASE other than "two" or "natural" is a usage
-error.  The argument parser is built once per process, on the first call of
-``main``.
+Exit codes: 0 success, 1 certification failure, 2 usage/validation error
+(an input too large for memory included), 3 I/O error.  The default log
+base is "two".  The RFUN_LOG_BASE environment variable overrides it and is
+read on every call of ``main``; the --log flag overrides both.  An
+RFUN_LOG_BASE other than "two" or "natural" is a usage error.  The argument
+parser is built once per process, on the first call of ``main``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .analysis import certify_proof, hull_value
 from .core import (
     TOL,
     BASES,
-    DomainError,
     check_dimension,
     convert_base,
     f_value,
@@ -68,8 +67,7 @@ def _parse_m_range(text: str) -> list[int]:
 
 
 def _cmd_eval(args) -> int:
-    m = check_dimension(args.m)
-    print(_fmt(_EVAL[args.which](args.lam, m, args.log)))
+    print(_fmt(_EVAL[args.which](args.lam, args.m, args.log)))
     return EXIT_OK
 
 
@@ -110,8 +108,7 @@ def _cmd_eof(args) -> int:
         print(_fmt(isotropic_eof(args.d, args.F, base=args.log)))
     else:
         try:
-            with open(args.state, encoding="utf-8") as fh:
-                rho = load_state(fh)
+            rho = load_state(args.state)
         except OSError as exc:
             print(f"cannot read {args.state}: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -185,8 +182,8 @@ def main(argv=None) -> int:
             if args.log not in BASES:
                 raise ValueError(f"RFUN_LOG_BASE must be one of {BASES}, got {args.log!r}")
         return args.func(args)
-    except (DomainError, StateValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # DomainError, StateValidationError too
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

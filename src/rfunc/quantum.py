@@ -117,11 +117,11 @@ def validate_state(raw, dims) -> DensityMatrix:
     the returned ``matrix`` is complex either way.
     """
     try:
-        m, n = dims
-        m, n = check_dimension(m), check_dimension(n)
-    except (TypeError, ValueError):  # DomainError is a ValueError
+        m, n = map(check_dimension, dims)
+    except (TypeError, ValueError) as exc:  # DomainError is a ValueError
+        # exc, not dims: the repr of an int past 4300 digits raises ValueError
         raise DimensionMismatchError(
-            f"local dimensions must be two integers >= 2, got {dims!r}") from None
+            f"local dimensions must be two integers >= 2: {exc}") from None
     mat = np.asarray(raw, dtype=complex)
     if mat.shape != (m * n, m * n):
         raise DimensionMismatchError(
@@ -223,11 +223,17 @@ def isotropic_state(d, fidelity) -> DensityMatrix:
     return DensityMatrix((d, d), fidelity * proj + (1.0 - fidelity) * rest)
 
 
+def _json_int(digits: str) -> int:
+    if len(digits) > 400:  # a valid file needs far fewer; int() fails past 4300
+        raise StateValidationError(f"state file holds an integer of {len(digits)} digits")
+    return int(digits)
+
+
 def load_state(source) -> DensityMatrix:
     """Read a state from the JSON format {"dims": [m, n], "matrix": [[[re, im], ...], ...]}.
 
     ``source`` is a path or a file object holding UTF-8 JSON.  Text that is
-    not UTF-8, or nests too deeply for the JSON decoder, raises
+    not UTF-8, nests too deeply or holds an integer of over 400 digits raises
     StateValidationError; malformed JSON raises json.JSONDecodeError.
     """
     try:
@@ -238,7 +244,7 @@ def load_state(source) -> DensityMatrix:
                 text = fh.read()
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except UnicodeDecodeError as exc:
         raise StateValidationError(
             f"state file is not UTF-8 text: {exc.reason} at byte {exc.start}") from None

@@ -46,16 +46,15 @@ class TestFindInflection:
 
     @pytest.mark.parametrize("m", [3, 4, 5, 64, 1000])
     def test_lambda0_matches_mpmath(self, m):
-        # the root of g = f from R's definition at 50 digits; for m in {3, 4}
-        # it lies above m-1, for m >= 5 below
-        mpmath = pytest.importorskip("mpmath")
+        # the root of g = f in the 50-digit oracle; for m in {3, 4} it lies
+        # above m-1, for m >= 5 below
+        mo = pytest.importorskip("mp_oracle")
         lam0 = find_inflection(m).lambda0
-        with mpmath.workdps(50):
+        with mo.mp.workdps(mo.DPS):
             def g_minus_f(lam):
-                gam = (mpmath.sqrt(lam) + mpmath.sqrt((m - 1) * (m - lam))) ** 2 / m ** 2
-                return (mpmath.log((1 - gam) / ((m - 1) * gam))
-                        + 2 * mpmath.sqrt(lam * (m - lam) / (m - 1)))
-            err = abs(lam0 - mpmath.findroot(g_minus_f, mpmath.mpf(lam0)))
+                ref = mo.at(lam, m)
+                return ref.g_value - ref.f_value
+            err = abs(lam0 - mo.mp.findroot(g_minus_f, mo.mp.mpf(lam0)))
         assert err <= 1e-12, f"error {float(err):.3e}"
 
     @pytest.mark.parametrize("m", [5, 11, 40])
@@ -199,13 +198,10 @@ class TestTangent:
 
     @pytest.mark.parametrize("m", [3, 5, 64, 10**3, 10**5, 10**6])
     def test_value_at_star_matches_mpmath(self, m):
-        # R(4(m-1)/m) from R's definition at 50 digits, in bits
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            lam = mpmath.mpf(4) * (m - 1) / m
-            gam = (mpmath.sqrt(lam) + mpmath.sqrt((m - 1) * (m - lam))) ** 2 / m ** 2
-            ref = (-gam * mpmath.log(gam) - (1 - gam) * mpmath.log(1 - gam)
-                   + (1 - gam) * mpmath.log(m - 1)) / mpmath.log(2)
+        # R(4(m-1)/m) in bits, from the 50-digit oracle
+        mo = pytest.importorskip("mp_oracle")
+        with mo.mp.workdps(mo.DPS):
+            ref = mo.at(mo.mp.mpf(4) * (m - 1) / m, m).r_value
             err = abs(find_tangent(m).value_at_star - ref) / ref
         assert err <= 1e-14, f"relative error {float(err):.3e}"
 

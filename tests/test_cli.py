@@ -192,7 +192,9 @@ class TestEof:
         (json.dumps({"dims": [2, 2], "matrix": [[[i == j == 0, False] for j in range(4)]
                                                 for i in range(4)]}).encode(),
          "must be numbers"),
-    ], ids=["deeply_nested", "not_utf8", "booleans"])
+        # past 4300 digits int() raises a plain ValueError
+        (b'{"dims": [1' + b"0" * 5000 + b', 2], "matrix": []}', "integer of 5001 digits"),
+    ], ids=["deeply_nested", "not_utf8", "booleans", "integer_too_long"])
     def test_undecodable_state_file_exit_2(self, capsys, tmp_path, content, message):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
@@ -226,6 +228,17 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "beyond the float range" in err
+
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.45 GiB"),
+                                     MemoryError()], ids=["numpy", "bare"])
+    def test_memory_error_exit_2(self, capsys, monkeypatch, exc):
+        # a --grid or --m range too large for memory; nothing is allocated here
+        def certify_proof(m, grid_size):
+            raise exc
+        monkeypatch.setattr(cli, "certify_proof", certify_proof)
+        code, out, err = run(capsys, "certify", "--m", "5", "--grid", "1000000000")
+        assert code == 2 and out == ""
+        assert err == f"error: {str(exc) or 'MemoryError'}\n"
 
     def test_exit_codes_disjoint(self):
         from rfunc.cli import EXIT_CERTIFY_FAIL, EXIT_IO, EXIT_OK, EXIT_USAGE

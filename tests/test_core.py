@@ -189,23 +189,15 @@ class TestR:
         assert val > 1.0
 
     def test_second_matches_mpmath_near_one(self):
-        # Independent reference: the second derivative, by mpmath's own
-        # finite differences, of R(lambda) written from its definition and
-        # evaluated at 50 digits.
-        mpmath = pytest.importorskip("mpmath")
-
-        def r_exact(lam, m):
-            gam = (mpmath.sqrt(lam) + mpmath.sqrt((m - 1) * (m - lam))) ** 2 / m ** 2
-            return (-gam * mpmath.log(gam) - (1 - gam) * mpmath.log(1 - gam)
-                    + (1 - gam) * mpmath.log(m - 1))
-
+        # Independent reference: R'' by the chain rule in the 50-digit oracle,
+        # which test_mp_oracle holds to mpmath's own finite differences of R.
+        mo = pytest.importorskip("mp_oracle")
         errors = []
-        with mpmath.workdps(50):
-            for m in (2, 3, 5, 16, 64):
-                for k in range(2, 15, 2):
-                    lam = 1.0 + 10.0 ** -k
-                    ref = mpmath.diff(lambda x: r_exact(x, m), mpmath.mpf(lam), 2)
-                    errors.append(float(abs(r_second(lam, m) - ref) / abs(ref)))
+        for m in (2, 3, 5, 16, 64):
+            for k in range(2, 15, 2):
+                lam = 1.0 + 10.0 ** -k
+                ref = mo.at(lam, m).r_second
+                errors.append(float(abs(r_second(lam, m) - ref) / abs(ref)))
         worst = float(np.max(errors))   # nan if any R'' was nan
         assert worst <= 1e-14, f"worst relative error {worst:.3e}"
 
@@ -267,16 +259,14 @@ class TestRightIntervalFunctions:
 
     @pytest.mark.parametrize("m", [2, 3, 1000])
     def test_a_matches_mpmath_near_zero(self, m):
-        # A = (1-gamma)/((m-1) gamma) at lambda = m-1+delta, from gamma's
-        # definition at 50 digits; at m = 2 it vanishes at delta = 0
-        mpmath = pytest.importorskip("mpmath")
+        # A = (1-gamma)/((m-1) gamma) at lambda = m-1+delta, from the 50-digit
+        # oracle; at m = 2 it vanishes at delta = 0
+        mo = pytest.importorskip("mp_oracle")
         deltas = [0.0, 1e-9, 1e-8, 1e-4, 0.5]
         got = a_value(np.array(deltas), m)
-        with mpmath.workdps(50):
+        with mo.mp.workdps(mo.DPS):
             for delta, a in zip(deltas, got):
-                lam = m - 1 + mpmath.mpf(delta)
-                gam = (mpmath.sqrt(lam) + mpmath.sqrt((m - 1) * (m - lam))) ** 2 / m ** 2
-                ref = (1 - gam) / ((m - 1) * gam)
+                ref = mo.at(m - 1 + mo.mp.mpf(delta), m).a_value
                 assert abs(a - ref) <= 1e-15 * ref, f"delta={delta}: {a!r} vs {ref}"
         assert a_value(0.0, 2) == 0.0
         assert big_f_value(0.0, 2) == -np.inf
@@ -405,17 +395,17 @@ class TestScalarPath:
 
     def test_scalar_path_no_less_accurate_than_array_path(self):
         # Each function at float lambda (math kernels) and at a 1-element
-        # array (numpy kernels), against 50-digit mpmath written from the
-        # definitions.  The sample reaches 1e-14 from both endpoints, where
-        # known cancellations dominate; those hit both paths alike.
-        mpmath = pytest.importorskip("mpmath")
+        # array (numpy kernels), against the 50-digit oracle.  The sample
+        # reaches 1e-14 from both endpoints, where known cancellations
+        # dominate; those hit both paths alike.
+        mo = pytest.importorskip("mp_oracle")
         worst = {}
 
         def record(name, got, ref):
             err = float(abs(got - ref) / abs(ref) if abs(ref) > 1e-30 else abs(got))
             worst[name] = max(worst.get(name, 0.0), err)
 
-        with mpmath.workdps(50):
+        with mo.mp.workdps(mo.DPS):
             for m in (2, 3, 5, 64, 10 ** 3, 10 ** 6):
                 rng = np.random.default_rng(m)
                 ts = [10.0 ** -k for k in range(1, 15)]
@@ -423,16 +413,16 @@ class TestScalarPath:
                         + [1.0, float(m), m - 1.0, 4.0 * (m - 1) / m]
                         + [float(x) for x in rng.uniform(1.0, m, 40)])
                 for lam in lams:
-                    refs = _mp_reference(mpmath, lam, m)
+                    refs = mo.at(lam, m)
                     for fn in LAMBDA_FUNCTIONS:
-                        ref = refs.get(fn.__name__)
+                        ref = getattr(refs, fn.__name__)
                         if ref is None:   # singular endpoint of this function
                             continue
                         record(("scalar", fn.__name__), fn(lam, m), ref)
                         record(("array", fn.__name__), fn(np.array([lam]), m)[0], ref)
                     fid = lam / m
                     if fid > 1.0 / m:
-                        ref = _mp_reference(mpmath, m * fid, m)["hull_value"]
+                        ref = mo.at(m * fid, m).hull_value
                         record(("scalar", "isotropic_eof"), isotropic_eof(m, fid), ref)
                         record(("array", "isotropic_eof"),
                                hull_value(np.array([m * fid]), m)[0], ref)
@@ -440,35 +430,3 @@ class TestScalarPath:
         worse = {n: (worst["scalar", n], worst["array", n]) for n in names
                  if not worst["scalar", n] <= worst["array", n]}   # nan fails too
         assert not worse, f"scalar path less accurate (scalar, array): {worse}"
-
-
-def _mp_reference(mp, lam, m):
-    """50-digit values of the public lambda-functions at (lam, m), by name.
-
-    1 - gamma is taken as ((lam-1)/w)^2 with w = sqrt((m-1)lam) + sqrt(m-lam),
-    the same identity as the kernels use, so that it keeps its digits near
-    lambda = 1 at large m; everything else is written from the definitions.
-    Functions singular at lam are left out.
-    """
-    lam, m_ = mp.mpf(lam), mp.mpf(m)
-    x = ((lam - 1) / (mp.sqrt((m_ - 1) * lam) + mp.sqrt(m_ - lam))) ** 2
-    gam = 1 - x
-    ln2 = mp.log(2)
-    r = -gam * mp.log(gam) + (x * (mp.log(m_ - 1) - mp.log(x)) if x > 0 else 0)
-    star = 4 * (m_ - 1) / m_
-    hull = r if m == 2 or lam <= star else (
-        mp.log(m_) + (lam - m_) * mp.log(m_ - 1) / (m_ - 2))
-    out = {"gamma_value": gam, "r_value": r / ln2, "hull_value": hull / ln2,
-           "f_value": -2 * mp.sqrt(lam * (m_ - lam) / (m_ - 1))}
-    if lam < m_:
-        s = mp.sqrt(lam) + mp.sqrt((m_ - 1) * (m_ - lam))
-        ds = 1 / (2 * mp.sqrt(lam)) - (m_ - 1) / (2 * mp.sqrt((m_ - 1) * (m_ - lam)))
-        g1 = 2 * s * ds / m_ ** 2
-        g2 = -mp.sqrt(m_ - 1) / 2 * (lam * (m_ - lam)) ** mp.mpf(-1.5)
-        out.update(gamma_first=g1, gamma_second=g2)
-    if lam > 1:
-        g = mp.log(x / ((m_ - 1) * gam))
-        out["g_value"] = g
-        if lam < m_:
-            out.update(r_first=g1 * g / ln2, r_second=g2 * g - g1 ** 2 / (gam * x))
-    return out

@@ -65,8 +65,10 @@ class TestValidateState:
 
     @pytest.mark.parametrize("dims", [
         (2.7, 2), [2, 2.5], ("2", "2"), (b"2", 2), (True, 2), (2, np.bool_(True)),
-        (np.nan, 2), (1, 4), (2, 2, 1), (2,), 4, None, (10**400, 2)])
+        (np.nan, 2), (1, 4), (2, 2, 1), (2,), 4, None, (10**400, 2), (10**5000, 2),
+        (2, 2, 10**5000)])
     def test_bad_dims_rejected(self, dims):
+        # an int past 4300 digits cannot be printed: the message must not try
         with pytest.raises(DimensionMismatchError, match="two integers >= 2"):
             validate_state(np.eye(4) / 4.0, dims)
 
@@ -434,6 +436,18 @@ class TestStateFileFormat:
         rows[1][2] = entry
         with pytest.raises(StateValidationError):
             self._load({"dims": [2, 2], "matrix": rows})
+
+    @pytest.mark.parametrize("dims", ["1" + "0" * 5000 + ", 2", "1" + "0" * 4299 + ", 10"],
+                             ids=["5001_digits", "product_of_4301_digits"])
+    def test_integer_too_long_to_read(self, dims):
+        # int() refuses JSON integers past 4300 digits, and str() products
+        # past them, with a plain ValueError
+        with pytest.raises(StateValidationError, match="integer of"):
+            load_state(io.StringIO('{"dims": [' + dims + '], "matrix": []}'))
+
+    def test_malformed_json_raises_json_error(self):
+        with pytest.raises(json.JSONDecodeError):
+            load_state(io.StringIO('{"dims": [2, 2], "matrix": [}'))
 
     @pytest.mark.parametrize("zero", [0.0, False])
     def test_boolean_entries(self, zero):
