@@ -18,6 +18,7 @@ import numpy as np
 from .core import _MATH, _a, _args, _b, _big_f, _f, _g, _r, _rpp, _wx
 from .core import (
     TOL,
+    DomainError,
     big_f_value,
     check_dimension,
     convert_base,
@@ -157,7 +158,7 @@ def _grid_values(m: int, grid_size: int) -> dict:
 
 
 def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
-    """Run every endpoint identity and grid inequality for one dimension m.
+    """Run every endpoint identity and grid inequality for one m <= 2**40 = 1,099,511,627,776.
 
     For m >= 5 the report ends with the delta route, which rules out a zero
     of R'' on (m-1, m): F(delta) = (1/2) B log A at lambda = m-1+delta stays
@@ -165,6 +166,8 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     delta -> 1), so the grid bound on F is the check that excludes the zero.
     """
     m = check_dimension(m)
+    if m - TOL.grid_right_offset == m:  # the grid would end at m, where R'' is singular
+        raise DomainError(f"certify_proof needs m <= 2**40 = 1099511627776, got {m}")
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     rep = CertificateReport(m)
@@ -277,11 +280,11 @@ def find_tangent(m, base: str = "two") -> HullDescription:
 def hull_value(lam, m, base: str = "two"):
     """Convex envelope co(R): R up to lambda*, then the tangent line to (m, log m)."""
     lam, m, xp = _args(lam, m)
+    if xp is _MATH and lam <= 4.0 * (m - 1) / m:  # lambda*, as _tangent_natural has it
+        return convert_base(_r(_wx(lam, m, xp)[1], m, xp), base)
     lam_star, slope, val, _ = _tangent_natural(m)
     out = val + slope * (lam - lam_star)  # the line; R replaces it up to lambda*
     if xp is np:
         on_curve = lam <= lam_star
         out[on_curve] = _r(_wx(lam[on_curve], m, np)[1], m, np)
-    elif lam <= lam_star:
-        out = _r(_wx(lam, m, xp)[1], m, xp)
     return convert_base(out, base)

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="run the proof certifier")
     p_cert.add_argument("--m", required=True,
-                        help="dimension or inclusive range a..b")
+                        help="dimension or inclusive range a..b; m <= 2**40 = 1099511627776")
     p_cert.add_argument("--grid", type=int, default=10_000)
     p_cert.set_defaults(func=_cmd_certify)
 

@@ -50,6 +50,7 @@ __all__ = [
 LOG2E = float(np.log2(np.e))
 
 BASES = ("two", "natural")
+_M_FAST = 2**1000  # a plain int m in [2, _M_FAST) needs no float range check
 
 
 class DomainError(ValueError):
@@ -76,6 +77,8 @@ def _out(x):
 
 def check_dimension(m) -> int:
     """Validate the local dimension m (integer, at least 2, within the float range)."""
+    if type(m) is int and 2 <= m < _M_FAST:  # a plain int: one comparison
+        return m
     if isinstance(m, (str, bytes, bool)):
         raise DomainError(f"dimension m must be an integer, got {m!r}")
     try:
@@ -92,7 +95,13 @@ def check_dimension(m) -> int:
 
 def check_lambda(lam, m):
     """Validate lambda in [1, m]; values within TOL.endpoint of an endpoint are clipped."""
-    m = check_dimension(m)
+    return _clip(lam, check_dimension(m))
+
+
+def _clip(lam, m):
+    # check_lambda on a checked m; NaN fails the first test, as it should
+    if type(lam) is float and 1.0 <= lam <= m:
+        return lam
     lo, hi = 1.0 - TOL.endpoint, m + TOL.endpoint
     if isinstance(lam, (int, float)):  # int, float or np.float64: no numpy calls
         if lo <= lam <= hi:  # NaN and +-inf fail
@@ -125,9 +134,13 @@ def _require(ok, message: str) -> None:
         raise DomainError(message)
 
 
+def _log1p(v, _np_log1p=np.log1p):  # numpy's log1p, bound once, on a float
+    return float(_np_log1p(v))
+
+
 # The kernels' namespace for a float: math, scalar np.minimum and np.where, and
 # numpy's log1p (math.log1p is up to 0.64 ulp off; it moved g(m-1) at m = 21, 27)
-_MATH = SimpleNamespace(sqrt=math.sqrt, log=math.log, log1p=lambda v: float(np.log1p(v)),
+_MATH = SimpleNamespace(sqrt=math.sqrt, log=math.log, log1p=_log1p,
                         minimum=min, where=lambda ok, a, b: a if ok else b)
 
 
@@ -153,8 +166,9 @@ def binary_entropy(x, base: str = "two"):
 
 def _args(lam, m):
     # the checked lambda, m as an int, and the namespace the kernels run on
-    lam = check_lambda(lam, m)
-    return lam, int(m), (_MATH if type(lam) is float else np)
+    m = check_dimension(m)
+    lam = _clip(lam, m)
+    return lam, m, (_MATH if type(lam) is float else np)
 
 
 def _wx(lam, m, xp):

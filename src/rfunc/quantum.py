@@ -112,11 +112,14 @@ def validate_state(raw, dims) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity of a raw matrix.
 
     ``dims`` holds two integers >= 2; a float entry must be integral, and a
-    str, bytes or bool entry is rejected.  A matrix whose imaginary parts are
-    all zero is checked, and its eigenvalues taken, on LAPACK's real drivers;
-    the returned ``matrix`` is complex either way.
+    str, bytes or bool entry is rejected, as is a str, bytes or bytearray
+    ``dims``, whose items are characters or byte values.  A matrix whose
+    imaginary parts are all zero is checked, and its eigenvalues taken, on
+    LAPACK's real drivers; the returned ``matrix`` is complex either way.
     """
     try:
+        if isinstance(dims, (str, bytes, bytearray)):
+            raise TypeError(f"got a {type(dims).__name__}")
         m, n = map(check_dimension, dims)
     except (TypeError, ValueError) as exc:  # DomainError is a ValueError
         # exc, not dims: the repr of an int past 4300 digits raises ValueError
@@ -197,9 +200,7 @@ def isotropic_eof(d, fidelity, base: str = "two") -> float:
     """
     d = check_dimension(d)
     fidelity = _check_fidelity(fidelity)
-    if fidelity <= 1.0 / d:
-        return 0.0
-    return hull_value(d * fidelity, d, base=base)
+    return 0.0 if fidelity <= 1.0 / d else hull_value(d * fidelity, d, base=base)
 
 
 def eof_lower_bound(rho: DensityMatrix, base: str = "two") -> float:

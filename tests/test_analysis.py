@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import hull_oracle
 
 from rfunc import (
+    DomainError,
     a_value,
     b_value,
     big_f_value,
@@ -135,6 +137,18 @@ class TestCertifyProof:
     def test_check_names_and_order(self, m, names):
         # the order is the order of the checks printed by `rfunc certify`
         assert [c.name for c in certify_proof(m).checks] == names
+
+    @pytest.mark.parametrize("k", range(38, 54))
+    def test_large_m_rejected_or_without_warnings(self, k):
+        # past m = 2**40 the grid's right end m - 1e-4 rounds to m, where R''
+        # divides by zero; such an m is refused before any grid work
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if k > 40:
+                with pytest.raises(DomainError, match="2\\*\\*40"):
+                    certify_proof(2**k)
+            else:
+                assert certify_proof(2**k).m == 2**k
 
     def test_json_schema(self):
         doc = json.loads(certify_proof(5).to_json())

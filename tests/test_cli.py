@@ -82,6 +82,11 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--m", "1")
         assert code == 2 and err
 
+    def test_dimension_past_certify_limit_exit_2(self, capsys):
+        code, out, err = run(capsys, "certify", "--m", str(2**40 + 1))
+        assert code == 2 and out == ""
+        assert "m <= 2**40" in err
+
     def test_small_grid_rejected_before_grid_work(self, capsys):
         code, out, err = run(capsys, "certify", "--m", "5", "--grid", "2")
         assert code == 2 and out == ""

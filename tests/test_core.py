@@ -25,7 +25,8 @@ from rfunc import (
     r_second,
     r_value,
 )
-from rfunc.core import _MATH, _g, _gp, _r, _rpp, _wx, check_delta
+from rfunc.analysis import _tangent_natural
+from rfunc.core import _MATH, _args, _g, _gp, _r, _rpp, _wx, check_delta
 
 
 class TestBinaryEntropy:
@@ -343,6 +344,72 @@ class TestCheckDimension:
             r_value(2.5, "5")
 
 
+class TestCheckFastPath:
+    """A plain int m and a float lambda in [1, m] pass on a comparison alone.
+
+    Every other input takes the full checks; either way the value, its type
+    and the exception class are those of the full checks.
+    """
+
+    @pytest.mark.parametrize("m", [2, 2**999, 2**1000, 2**1023],
+                             ids=["2", "2**999", "2**1000", "2**1023"])
+    def test_check_dimension_either_side_of_the_fast_path(self, m):
+        # 5, np.int64(5), 5.0, True and 2**1024 - 1: TestCheckDimension
+        got = check_dimension(m)
+        assert type(got) is int and got == m
+
+    @pytest.mark.parametrize("lam, want", [
+        (1.0, 1.0), (5, 5.0), (5.0, 5.0), (1.0 - 1e-13, 1.0), (5.0 + 1e-13, 5.0),
+        (np.float64(2.5), 2.5), (3, 3.0), (np.nan, DomainError),
+        (np.inf, DomainError), (-np.inf, DomainError), (-0.0, DomainError)],
+        ids=["1.0", "int-m", "m", "below-1", "above-m", "float64", "int", "nan",
+             "inf", "-inf", "-0.0"])
+    @pytest.mark.parametrize("m", [5, np.int64(5), 5.0], ids=["int", "int64", "float"])
+    def test_check_lambda_table(self, lam, want, m):
+        # _args checks m once and lambda once: it must agree with check_lambda
+        if want is DomainError:
+            for check in (check_lambda, lambda lam, m: _args(lam, m)[0]):
+                with pytest.raises(DomainError):
+                    check(lam, m)
+        else:
+            for got in (check_lambda(lam, m), _args(lam, m)[0]):
+                assert type(got) is float and got == want
+                assert np.signbit(got) == np.signbit(want)
+
+    def test_huge_m_compares_exactly(self):
+        # the comparisons with an int m are exact: 2**999 lies inside
+        # [1, 2**999 + 1], and the float 2**1000 + 2**948 lies above 2**1000
+        # by far more than TOL.endpoint
+        assert check_lambda(float(2**999), 2**999 + 1) == float(2**999)
+        assert check_lambda(2.0, 2**1023) == 2.0
+        with pytest.raises(DomainError):
+            check_lambda(float(2**1000 + 2**948), 2**1000)
+
+    @given(st.integers(-5, 2**62))
+    def test_int_m_as_the_full_checks(self, m):
+        # np.int64 is not a plain int, so it always takes the full checks
+        try:
+            want = check_dimension(np.int64(m))
+        except DomainError:
+            with pytest.raises(DomainError):
+                check_dimension(m)
+        else:
+            assert check_dimension(m) == want
+
+    @given(st.floats(allow_nan=True, allow_infinity=True),
+           st.sampled_from([2, 3, 5, 64, 10**3, 10**5, 2**60]))
+    def test_float_lambda_as_the_full_checks(self, lam, m):
+        # np.float64 is a float subclass, so it always takes the full checks
+        try:
+            want = check_lambda(np.float64(lam), m)
+        except DomainError:
+            with pytest.raises(DomainError):
+                check_lambda(lam, m)
+        else:
+            got = check_lambda(lam, m)
+            assert type(got) is float and got == want
+
+
 LAMBDA_FUNCTIONS = [gamma_value, gamma_first, gamma_second, r_value, r_first,
                     r_second, g_value, f_value, hull_value]
 
@@ -380,18 +447,32 @@ class TestScalarPath:
         # its kernels on one shared (w, x), bit for bit.  The two namespaces
         # themselves may differ in the last bits (math.log against numpy's
         # SIMD log, C pow against x * x); the mpmath test below bounds that.
+        # co(R) is R up to lambda* and the line after it: lambda* and its two
+        # float neighbours pin the branch point, for isotropic_eof too (at
+        # m = 2, lambda* = m, where gamma_first is singular: only the one below).
+        lam_star, slope, val, _ = _tangent_natural(m)
+
+        def hull(arg, xp):
+            line = val + slope * (arg - lam_star)
+            return xp.where(arg <= lam_star, _r(_wx(arg, m, xp)[1], m, xp), line) * LOG2E
+
         rng = np.random.default_rng(m)
-        for lam in rng.uniform(1.0, m, 50):
+        stars = [np.nextafter(lam_star, 0.0), lam_star, np.nextafter(lam_star, np.inf)]
+        for lam in [*rng.uniform(1.0, m, 50), *(s for s in stars if s < m)]:
             for arg, xp in ((float(lam), _MATH), (np.array([lam]), np)):
                 w, x = _wx(arg, m, xp)
                 g, gp = _g(arg, m, xp, w, x), _gp(arg, m, xp, w, x)
                 want = {gamma_value: 1.0 - x, gamma_first: gp, g_value: g,
                         r_value: _r(x, m, xp) * LOG2E, r_first: gp * g * LOG2E,
-                        r_second: _rpp(arg, m, xp, g)}
+                        r_second: _rpp(arg, m, xp, g), hull_value: hull(arg, xp)}
                 for fn, expected in want.items():
                     got = fn(arg, m)
                     assert type(got) is type(expected), fn.__name__
                     assert np.array_equal(got, expected), (fn.__name__, lam)
+            fidelity = float(lam) / m
+            got = isotropic_eof(m, fidelity)
+            assert type(got) is float
+            assert got == (0.0 if fidelity <= 1.0 / m else hull(m * fidelity, _MATH)), lam
 
     def test_scalar_path_no_less_accurate_than_array_path(self):
         # Each function at float lambda (math kernels) and at a 1-element

@@ -66,7 +66,7 @@ class TestValidateState:
     @pytest.mark.parametrize("dims", [
         (2.7, 2), [2, 2.5], ("2", "2"), (b"2", 2), (True, 2), (2, np.bool_(True)),
         (np.nan, 2), (1, 4), (2, 2, 1), (2,), 4, None, (10**400, 2), (10**5000, 2),
-        (2, 2, 10**5000)])
+        (2, 2, 10**5000), b"\x02\x02", bytearray(b"\x02\x03"), "22"])
     def test_bad_dims_rejected(self, dims):
         # an int past 4300 digits cannot be printed: the message must not try
         with pytest.raises(DimensionMismatchError, match="two integers >= 2"):
