@@ -157,6 +157,17 @@ def _grid_values(m: int, grid_size: int) -> dict:
     return vals
 
 
+# Past 2**40 the grids' right end m - TOL.grid_right_offset rounds to m, where R'' is singular
+_CERTIFY_M_MAX = 2**40
+
+
+def _certify_m(m) -> int:
+    m = check_dimension(m)
+    if m > _CERTIFY_M_MAX:
+        raise DomainError(f"the certifier needs m <= {_CERTIFY_M_MAX}, got {m}")
+    return m
+
+
 def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     """Run every endpoint identity and grid inequality for one m <= 2**40 = 1,099,511,627,776.
 
@@ -165,9 +176,7 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     above -1 on [0, 1).  F is not monotone (it tends to -1 from above as
     delta -> 1), so the grid bound on F is the check that excludes the zero.
     """
-    m = check_dimension(m)
-    if m - TOL.grid_right_offset == m:  # the grid would end at m, where R'' is singular
-        raise DomainError(f"certify_proof needs m <= 2**40 = 1099511627776, got {m}")
+    m = _certify_m(m)
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     rep = CertificateReport(m)
@@ -255,6 +264,11 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     return rep
 
 
+def _lam_star(m: int) -> float:
+    # the tangent abscissa of co(R), where gamma = (m-1)/m; the branch point of hull_value
+    return 4.0 * (m - 1) / m
+
+
 def _tangent_natural(m: int) -> tuple[float, float, float, bool]:
     """(lambda*, slope, R(lambda*), degenerate) in the natural-log convention.
 
@@ -267,7 +281,7 @@ def _tangent_natural(m: int) -> tuple[float, float, float, bool]:
     log_m1 = math.log(m - 1)
     slope = log_m1 / (m - 2) if m > 2 else 1.0
     value = math.log1p(1.0 / (m - 1)) + 2.0 * log_m1 / m
-    return 4.0 * (m - 1) / m, slope, value, m == 2
+    return _lam_star(m), slope, value, m == 2
 
 
 def find_tangent(m, base: str = "two") -> HullDescription:
@@ -280,7 +294,7 @@ def find_tangent(m, base: str = "two") -> HullDescription:
 def hull_value(lam, m, base: str = "two"):
     """Convex envelope co(R): R up to lambda*, then the tangent line to (m, log m)."""
     lam, m, xp = _args(lam, m)
-    if xp is _MATH and lam <= 4.0 * (m - 1) / m:  # lambda*, as _tangent_natural has it
+    if xp is _MATH and lam <= _lam_star(m):  # on the curve: no line to build
         return convert_base(_r(_wx(lam, m, xp)[1], m, xp), base)
     lam_star, slope, val, _ = _tangent_natural(m)
     out = val + slope * (lam - lam_star)  # the line; R replaces it up to lambda*

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .analysis import certify_proof, hull_value
+from .analysis import _CERTIFY_M_MAX, _certify_m, certify_proof, hull_value
 from .core import (
     TOL,
     BASES,
@@ -58,12 +58,12 @@ def _parse_m_range(text: str) -> list[int]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         # every m between two valid endpoints is valid; checking hi before
-        # range() also keeps an hi beyond the float range out of it
-        lo, hi = check_dimension(int(lo_s)), check_dimension(int(hi_s))
+        # range() fails a range past the certifier's bound before any work
+        lo, hi = _certify_m(int(lo_s)), _certify_m(int(hi_s))
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [check_dimension(int(text))]
+    return [_certify_m(int(text))]
 
 
 def _cmd_eval(args) -> int:
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="run the proof certifier")
     p_cert.add_argument("--m", required=True,
-                        help="dimension or inclusive range a..b; m <= 2**40 = 1099511627776")
+                        help=f"dimension or inclusive range a..b; m <= {_CERTIFY_M_MAX}")
     p_cert.add_argument("--grid", type=int, default=10_000)
     p_cert.set_defaults(func=_cmd_certify)
 

@@ -200,7 +200,9 @@ def isotropic_eof(d, fidelity, base: str = "two") -> float:
     """
     d = check_dimension(d)
     fidelity = _check_fidelity(fidelity)
-    return 0.0 if fidelity <= 1.0 / d else hull_value(d * fidelity, d, base=base)
+    if fidelity <= 1.0 / d:
+        return 0.0
+    return hull_value(d * fidelity, d, base=base)
 
 
 def eof_lower_bound(rho: DensityMatrix, base: str = "two") -> float:

@@ -7,6 +7,7 @@ import pytest
 from conftest import hull_oracle
 
 from rfunc import (
+    TOL,
     DomainError,
     a_value,
     b_value,
@@ -22,7 +23,7 @@ from rfunc import (
     r_value,
     r_second,
 )
-from rfunc.analysis import _grid_values
+from rfunc.analysis import _CERTIFY_M_MAX, _grid_values
 
 
 class TestFindInflection:
@@ -138,17 +139,23 @@ class TestCertifyProof:
         # the order is the order of the checks printed by `rfunc certify`
         assert [c.name for c in certify_proof(m).checks] == names
 
-    @pytest.mark.parametrize("k", range(38, 54))
-    def test_large_m_rejected_or_without_warnings(self, k):
+    @pytest.mark.parametrize("m", [2**k for k in range(38, 54)] + [2**53 + 1, 10**17 + 1])
+    def test_large_m_rejected_or_without_warnings(self, m):
         # past m = 2**40 the grid's right end m - 1e-4 rounds to m, where R''
-        # divides by zero; such an m is refused before any grid work
+        # divides by zero; such an m is refused before any grid work.  No
+        # float holds 2**53 + 1 or 10**17 + 1: the bound is compared as an int
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if k > 40:
-                with pytest.raises(DomainError, match="2\\*\\*40"):
-                    certify_proof(2**k)
+            if m > 2**40:
+                with pytest.raises(DomainError, match=f"m <= {2**40}, got {m}$"):
+                    certify_proof(m)
             else:
-                assert certify_proof(2**k).m == 2**k
+                assert certify_proof(m).m == m
+
+    def test_bound_is_the_last_m_whose_grid_ends_below_m(self):
+        offset = TOL.grid_right_offset
+        assert _CERTIFY_M_MAX - offset < _CERTIFY_M_MAX
+        assert (_CERTIFY_M_MAX + 1) - offset == _CERTIFY_M_MAX + 1
 
     def test_json_schema(self):
         doc = json.loads(certify_proof(5).to_json())

@@ -82,10 +82,16 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--m", "1")
         assert code == 2 and err
 
-    def test_dimension_past_certify_limit_exit_2(self, capsys):
-        code, out, err = run(capsys, "certify", "--m", str(2**40 + 1))
+    @pytest.mark.parametrize("m", [str(2**40 + 1), str(2**53 + 1), f"{2**40 - 776}..{2**40 + 1}"],
+                             ids=["2**40+1", "2**53+1", "range-across"])
+    def test_dimension_past_certify_limit_exit_2(self, capsys, monkeypatch, m):
+        # refused before any certificate is built, for a range that crosses the bound too
+        def certify_proof(m, grid_size):
+            pytest.fail(f"certified m = {m}")
+        monkeypatch.setattr(cli, "certify_proof", certify_proof)
+        code, out, err = run(capsys, "certify", "--m", m)
         assert code == 2 and out == ""
-        assert "m <= 2**40" in err
+        assert err == f"error: the certifier needs m <= {2**40}, got {m.split('..')[-1]}\n"
 
     def test_small_grid_rejected_before_grid_work(self, capsys):
         code, out, err = run(capsys, "certify", "--m", "5", "--grid", "2")
