@@ -1,57 +1,14 @@
-"""R-curve analysis and entanglement-of-formation bounds for bipartite states."""
+"""R-curve analysis and entanglement-of-formation bounds for bipartite states.
 
-from .core import (
-    BASES,
-    LOG2E,
-    TOL,
-    DomainError,
-    Tolerances,
-    a_value,
-    b_value,
-    big_f_value,
-    binary_entropy,
-    c_value,
-    check_dimension,
-    check_lambda,
-    convert_base,
-    f_value,
-    g_value,
-    gamma_first,
-    gamma_second,
-    gamma_value,
-    r_first,
-    r_second,
-    r_value,
-)
-from .analysis import (
-    CertificateCheck,
-    CertificateReport,
-    HullDescription,
-    InflectionResult,
-    certify_proof,
-    find_inflection,
-    find_tangent,
-    hull_value,
-)
-from .quantum import (
-    DensityMatrix,
-    DimensionMismatchError,
-    LambdaEstimate,
-    NotHermitianError,
-    NotPositiveError,
-    StateValidationError,
-    TraceError,
-    dump_state,
-    eof_lower_bound,
-    isotropic_eof,
-    isotropic_state,
-    lambda_of_state,
-    load_state,
-    max_entangled_state,
-    partial_transpose,
-    realign,
-    trace_norm,
-    validate_state,
-)
+Each module's ``__all__`` is its public API; the package re-exports exactly
+those names, in the order core, analysis, quantum.
+"""
+
+from . import analysis, core, quantum
+from .core import *
+from .analysis import *
+from .quantum import *
+
+__all__ = core.__all__ + analysis.__all__ + quantum.__all__
 
 __version__ = "0.1.0"

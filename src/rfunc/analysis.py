@@ -123,6 +123,7 @@ def find_inflection(m) -> InflectionResult:
     m = check_dimension(m)
     if m == 2:
         return InflectionResult(None, 0)
+    # the right end of the m in {3, 4} bracket is _lambda_grid's: moving one moves the other
     lo, hi = ((1.0 + 1e-9, float(m - 1)) if m >= 5
               else (float(m - 1), m - TOL.grid_right_offset))
     it = 0
@@ -139,10 +140,15 @@ def find_inflection(m) -> InflectionResult:
     return InflectionResult(0.5 * (lo + hi), it)
 
 
+def _lambda_grid(m: int, n: int) -> np.ndarray:
+    """The n-point lambda grid of the certifier and of ``rfunc table``, inside (1, m)."""
+    return np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset, n)
+
+
 def _grid_values(m: int, grid_size: int) -> dict:
     """The arrays ``certify_proof`` checks, each grid evaluated once on the kernels."""
     # the grids lie inside the domain by construction: no checks needed
-    grid = np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset, grid_size)
+    grid = _lambda_grid(m, grid_size)
     w, x = _wx(grid, m, np)
     g = _g(grid, m, np, w, x)
     vals = {"grid": grid, "gamma": 1.0 - x, "r": convert_base(_r(x, m, np), "two"),

@@ -16,11 +16,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .analysis import _CERTIFY_M_MAX, _certify_m, certify_proof, hull_value
+from .analysis import _CERTIFY_M_MAX, _certify_m, _lambda_grid, certify_proof, hull_value
 from .core import (
-    TOL,
     BASES,
     check_dimension,
     convert_base,
@@ -82,8 +79,7 @@ def _cmd_table(args) -> int:
     m = check_dimension(args.m)
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
-    grid = np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset,
-                       args.grid)
+    grid = _lambda_grid(m, args.grid)
     base = args.log
     rows = zip(grid, r_value(grid, m, base=base),
                convert_base(r_second(grid, m), base),

@@ -79,7 +79,7 @@ def check_dimension(m) -> int:
     """Validate the local dimension m (integer, at least 2, within the float range)."""
     if type(m) is int and 2 <= m < _M_FAST:  # a plain int: one comparison
         return m
-    if isinstance(m, (str, bytes, bool)):
+    if isinstance(m, (str, bytes, bytearray, bool)):
         raise DomainError(f"dimension m must be an integer, got {m!r}")
     try:
         integral = float(m).is_integer()

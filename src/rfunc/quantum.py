@@ -187,6 +187,11 @@ def lambda_of_state(rho: DensityMatrix) -> LambdaEstimate:
 
 
 def _check_fidelity(fidelity) -> float:
+    """Validate F in [0, 1]; a str, bytes, bytearray or boolean F is rejected."""
+    if type(fidelity) is float and 0.0 <= fidelity <= 1.0:  # a plain float: one comparison
+        return fidelity
+    if isinstance(fidelity, (str, bytes, bytearray, bool, np.bool_)):
+        raise DomainError(f"fidelity must be a number, got {fidelity!r}")
     fidelity = float(fidelity)
     if not 0.0 <= fidelity <= 1.0:
         raise DomainError(f"fidelity must lie in [0, 1], got {fidelity}")

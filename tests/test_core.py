@@ -328,7 +328,8 @@ class TestCheckDimension:
         assert check_dimension(m) == 5 and type(check_dimension(m)) is int
 
     @pytest.mark.parametrize("m", ["5", b"5", True, 2.5, np.nan, np.inf, 1,
-                                   pytest.param(2**1024 - 1, id="2**1024-1")])
+                                   pytest.param(2**1024 - 1, id="2**1024-1"),
+                                   pytest.param(bytearray(b"5"), id="bytearray")])
     def test_invalid_rejected(self, m):
         with pytest.raises(DomainError):
             check_dimension(m)

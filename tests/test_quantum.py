@@ -343,9 +343,21 @@ class TestIsotropicEof:
         expected = desc.value_at_star + desc.slope * (lam - desc.lambda_star)
         assert isotropic_eof(3, 0.95) == pytest.approx(expected, abs=1e-12)
 
-    def test_fidelity_domain(self):
+    # float() takes a str, bytes or boolean F, but none of them is a fidelity
+    @pytest.mark.parametrize("fn", [isotropic_eof, isotropic_state], ids=["eof", "state"])
+    @pytest.mark.parametrize("fidelity", [
+        1.2, "0.9", "0.5", b"0.5", bytearray(b"0.5"), True, False, np.True_, np.False_,
+    ], ids=["1.2", "str_0.9", "str_0.5", "bytes", "bytearray", "True", "False",
+            "np.True_", "np.False_"])
+    def test_fidelity_domain(self, fn, fidelity):
         with pytest.raises(DomainError):
-            isotropic_eof(3, 1.2)
+            fn(3, fidelity)
+
+    @pytest.mark.parametrize("fidelity", [np.float64(0.9), np.float32(0.5), 1, np.int64(0)])
+    def test_numeric_fidelity_is_taken_as_float(self, fidelity):
+        assert isotropic_eof(3, fidelity) == isotropic_eof(3, float(fidelity))
+        np.testing.assert_array_equal(isotropic_state(3, fidelity).matrix,
+                                      isotropic_state(3, float(fidelity)).matrix)
 
 
 class TestEofLowerBound:
