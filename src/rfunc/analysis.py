@@ -170,7 +170,7 @@ _CERTIFY_M_MAX = 2**40
 def _certify_m(m) -> int:
     m = check_dimension(m)
     if m > _CERTIFY_M_MAX:
-        raise DomainError(f"the certifier needs m <= {_CERTIFY_M_MAX}, got {m}")
+        raise DomainError(f"the lambda grid needs m <= {_CERTIFY_M_MAX}, got {m}")
     return m
 
 

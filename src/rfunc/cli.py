@@ -19,7 +19,6 @@ import sys
 from .analysis import _CERTIFY_M_MAX, _certify_m, _lambda_grid, certify_proof, hull_value
 from .core import (
     BASES,
-    check_dimension,
     convert_base,
     f_value,
     g_value,
@@ -76,7 +75,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    m = check_dimension(args.m)
+    m = _certify_m(args.m)  # the lambda grid's m <= 2**40
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     grid = _lambda_grid(m, args.grid)
@@ -141,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(func=_cmd_certify)
 
     p_table = sub.add_parser("table", help="emit a CSV table of R, R'' and the envelope")
-    p_table.add_argument("--m", type=int, required=True)
+    p_table.add_argument("--m", type=int, required=True,
+                         help=f"dimension, 2 <= m <= {_CERTIFY_M_MAX}")
     p_table.add_argument("--grid", type=int, default=1000)
     p_table.add_argument("--output", default=None)
     add_log(p_table)

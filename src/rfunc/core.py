@@ -79,22 +79,28 @@ def check_dimension(m) -> int:
     """Validate the local dimension m (integer, at least 2, within the float range)."""
     if type(m) is int and 2 <= m < _M_FAST:  # a plain int: one comparison
         return m
-    if isinstance(m, (str, bytes, bytearray, bool)):
-        raise DomainError(f"dimension m must be an integer, got {m!r}")
-    try:
-        integral = float(m).is_integer()
-    except OverflowError:  # an int beyond the float range; its repr may be huge
-        raise DomainError("dimension m lies beyond the float range") from None
-    if not integral:
-        raise DomainError(f"dimension m must be an integer, got {m!r}")
-    m = int(m)
-    if m < 2:
-        raise DomainError(f"dimension m must be >= 2, got {m}")
-    return m
+    x = _real(m, "dimension m")  # int(m), not int(x), below: x rounds an int past 2**53
+    if not (type(x) is float and x.is_integer() and x >= 2.0):
+        raise DomainError(f"dimension m must be an integer >= 2, got {m!r}")
+    return int(m)
+
+
+def _real(x, name: str, _scalars=(int, float, np.integer, np.floating)):  # bound once
+    # the one rule for a real argument: a real scalar (np.float64 is a float, a bool is
+    # not a number) or a 0-d array gives a Python float, an int or float list or array
+    # a float array, and the rest a DomainError; a ragged list raises numpy's ValueError
+    if isinstance(x, _scalars) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:  # an int beyond the float range; its repr may be huge
+            raise DomainError(f"{name} lies beyond the float range") from None
+    a = np.asarray(None if isinstance(x, bytearray) else x)  # not a bytearray's byte values
+    _require(a.dtype.kind in "iuf", "{} must be real, got {}", name, type(x).__name__)
+    return _out(np.asarray(a, dtype=float))
 
 
 def check_lambda(lam, m):
-    """Validate lambda in [1, m]; values within TOL.endpoint of an endpoint are clipped."""
+    """Validate a real lambda (see ``_real``) in [1, m]; clip it within TOL.endpoint of an end."""
     return _clip(lam, check_dimension(m))
 
 
@@ -102,24 +108,20 @@ def _clip(lam, m):
     # check_lambda on a checked m; NaN fails the first test, as it should
     if type(lam) is float and 1.0 <= lam <= m:
         return lam
-    lo, hi = 1.0 - TOL.endpoint, m + TOL.endpoint
-    if isinstance(lam, (int, float)):  # int, float or np.float64: no numpy calls
-        if lo <= lam <= hi:  # NaN and +-inf fail
-            return min(max(float(lam), 1.0), float(m))
-    else:
-        lam = np.asarray(lam, dtype=float)
-        if np.all((lam >= lo) & (lam <= hi)):  # NaN fails too
-            return _out(np.clip(lam, 1.0, float(m)))
-    raise DomainError(f"lambda outside domain [1, {m}]")
+    lam = _real(lam, "lambda")
+    _require((1.0 - TOL.endpoint <= lam) & (lam <= m + TOL.endpoint),  # NaN fails
+             "lambda outside domain [1, {}]", m)
+    if type(lam) is float:  # a scalar stays off numpy
+        return min(max(lam, 1.0), float(m))
+    return np.clip(lam, 1.0, float(m))
 
 
 def check_delta(delta, m):
-    """Validate delta in [0, 1); parametrizes lambda = m - 1 + delta."""
+    """Validate a real delta (see ``_real``) in [0, 1); parametrizes lambda = m - 1 + delta."""
     check_dimension(m)
-    delta = np.asarray(delta, dtype=float)
-    if not np.all((delta >= 0.0) & (delta < 1.0)):  # NaN fails too
-        raise DomainError("delta outside domain [0, 1)")
-    return _out(delta)
+    delta = _real(delta, "delta")
+    _require((0.0 <= delta) & (delta < 1.0), "delta outside domain [0, 1)")  # NaN fails too
+    return delta
 
 
 def convert_base(value, base: str):
@@ -129,9 +131,9 @@ def convert_base(value, base: str):
     return value * LOG2E if base == "two" else value
 
 
-def _require(ok, message: str) -> None:
+def _require(ok, message: str, *args) -> None:
     if not (ok is True or np.all(ok)):
-        raise DomainError(message)
+        raise DomainError(message.format(*args))  # formatted only on failure
 
 
 def _log1p(v, _np_log1p=np.log1p):  # numpy's log1p, bound once, on a float
@@ -155,10 +157,10 @@ def _h2(p, xp):
 
 
 def binary_entropy(x, base: str = "two"):
-    """Binary entropy -x log x - (1-x) log(1-x), with 0 log 0 := 0."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= -TOL.endpoint) & (x <= 1.0 + TOL.endpoint)):  # NaN fails too
-        raise DomainError("binary_entropy argument outside [0, 1]")
+    """Binary entropy -x log x - (1-x) log(1-x) of a real x (see ``_real``); 0 log 0 := 0."""
+    x = _real(x, "binary_entropy argument")
+    _require((-TOL.endpoint <= x) & (x <= 1.0 + TOL.endpoint),  # NaN fails too
+             "binary_entropy argument outside [0, 1]")
     return _out(convert_base(_h2(np.clip(x, 0.0, 1.0), np), base))
 
 

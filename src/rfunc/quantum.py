@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import hull_value
-from .core import DomainError, check_dimension
+from .core import _real, _require, check_dimension
 
 __all__ = [
     "StateValidationError",
@@ -111,11 +111,11 @@ def _nuclear_norm(a: np.ndarray) -> float:
 def validate_state(raw, dims) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity of a raw matrix.
 
-    ``dims`` holds two integers >= 2; a float entry must be integral, and a
-    str, bytes or bool entry is rejected, as is a str, bytes or bytearray
-    ``dims``, whose items are characters or byte values.  A matrix whose
-    imaginary parts are all zero is checked, and its eigenvalues taken, on
-    LAPACK's real drivers; the returned ``matrix`` is complex either way.
+    ``dims`` holds two integers >= 2; a float entry must be integral, and an
+    entry that is not a real number is rejected, as is a str, bytes or
+    bytearray ``dims``, whose items are characters or byte values.  A matrix
+    whose imaginary parts are all zero is checked, and its eigenvalues taken,
+    on LAPACK's real drivers; the returned ``matrix`` is complex either way.
     """
     try:
         if isinstance(dims, (str, bytes, bytearray)):
@@ -187,14 +187,12 @@ def lambda_of_state(rho: DensityMatrix) -> LambdaEstimate:
 
 
 def _check_fidelity(fidelity) -> float:
-    """Validate F in [0, 1]; a str, bytes, bytearray or boolean F is rejected."""
+    """Validate F in [0, 1]; core's rule for a real argument decides what is a number."""
     if type(fidelity) is float and 0.0 <= fidelity <= 1.0:  # a plain float: one comparison
         return fidelity
-    if isinstance(fidelity, (str, bytes, bytearray, bool, np.bool_)):
-        raise DomainError(f"fidelity must be a number, got {fidelity!r}")
-    fidelity = float(fidelity)
-    if not 0.0 <= fidelity <= 1.0:
-        raise DomainError(f"fidelity must lie in [0, 1], got {fidelity}")
+    fidelity = _real(fidelity, "fidelity")
+    _require(type(fidelity) is float and 0.0 <= fidelity <= 1.0,
+             "fidelity must be a number in [0, 1], got {}", fidelity)
     return fidelity
 
 

@@ -91,7 +91,7 @@ class TestCertify:
         monkeypatch.setattr(cli, "certify_proof", certify_proof)
         code, out, err = run(capsys, "certify", "--m", m)
         assert code == 2 and out == ""
-        assert err == f"error: the certifier needs m <= {2**40}, got {m.split('..')[-1]}\n"
+        assert err == f"error: the lambda grid needs m <= {2**40}, got {m.split('..')[-1]}\n"
 
     def test_small_grid_rejected_before_grid_work(self, capsys):
         code, out, err = run(capsys, "certify", "--m", "5", "--grid", "2")
@@ -163,6 +163,18 @@ class TestTable:
         lines = out.strip().split("\n")
         assert len(lines) == 2 and lines[0] == "lambda,R,R_second,hull"
         assert float(lines[1].split(",")[0]) == 1.0 + 1e-6
+
+    def test_dimension_at_grid_limit(self, capsys):
+        code, out, _ = run(capsys, "table", "--m", str(2**40), "--grid", "3")
+        assert code == 0 and len(out.strip().split("\n")) == 4
+
+    # past 2**40 the grid's right end m - 1e-4 rounds to m: the limit is named,
+    # not an R'' error about a lambda the user never gave
+    @pytest.mark.parametrize("m", [2**40 + 1, 2**53 + 1], ids=["2**40+1", "2**53+1"])
+    def test_dimension_past_grid_limit_exit_2(self, capsys, m):
+        code, out, err = run(capsys, "table", "--m", str(m), "--grid", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: the lambda grid needs m <= {2**40}, got {m}\n"
 
 
 class TestEof:
