@@ -110,28 +110,20 @@ def _sign_changes(values) -> int:
 
 
 def find_inflection(m) -> InflectionResult:
-    """Locate the unique zero lambda0 of R'' in (1, m).
+    """Locate the unique zero lambda0 of R'' in (1, m); ``None`` at m = 2, where g < f.
 
-    R'' = gamma'' (g - f) with gamma'' < 0, so lambda0 is the root of g = f,
-    found by bisection on a bracket where g - f goes from negative to
-    positive.  For m >= 5 the bracket is (1, m-1): g -> -inf at 1 and
-    g(m-1) > -2 = f(m-1).  For m in {3, 4} the root lies above m-1 (g - f is
-    -0.77 and -0.20 there) and below m - TOL.grid_right_offset (g - f is
-    about +5e-5 and +7e-5).  For m = 2, g < f on all of (1, 2) and the result
-    carries ``lambda0 = None``.
+    R'' = gamma'' (g - f) with gamma'' < 0, so lambda0 is the root of g = f.  For
+    every m >= 3, bisection on (1, m) never evaluates an endpoint: g - f -> -inf
+    at 1, g - f ~ (m-2)(m-lambda)/(m-1) > 0 just left of m, and the root is unique.
     """
     m = check_dimension(m)
     if m == 2:
         return InflectionResult(None, 0)
-    # the right end of the m in {3, 4} bracket is _lambda_grid's: moving one moves the other
-    lo, hi = ((1.0 + 1e-9, float(m - 1)) if m >= 5
-              else (float(m - 1), m - TOL.grid_right_offset))
+    lo, hi = 1.0, float(m)
     it = 0
     while hi - lo > 1e-12 and it < 200:
         mid = 0.5 * (lo + hi)
         diff = _g(mid, m, _MATH, *_wx(mid, m, _MATH)) - _f(mid, m, _MATH)
-        if diff == 0.0:
-            return InflectionResult(mid, it)
         if diff < 0.0:
             lo = mid
         else:

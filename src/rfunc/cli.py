@@ -89,12 +89,8 @@ def _cmd_table(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(args.output, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.output, "w", newline="") as fh:
+            fh.write(text)
     return EXIT_OK
 
 
@@ -104,9 +100,6 @@ def _cmd_eof(args) -> int:
     else:
         try:
             rho = load_state(args.state)
-        except OSError as exc:
-            print(f"cannot read {args.state}: {exc}", file=sys.stderr)
-            return EXIT_IO
         except (StateValidationError, json.JSONDecodeError) as exc:
             print(f"invalid state file: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -178,9 +171,9 @@ def main(argv=None) -> int:
             if args.log not in BASES:
                 raise ValueError(f"RFUN_LOG_BASE must be one of {BASES}, got {args.log!r}")
         return args.func(args)
-    except (ValueError, MemoryError) as exc:  # DomainError, StateValidationError too
+    except (ValueError, MemoryError, OSError) as exc:  # DomainError, StateValidationError too
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

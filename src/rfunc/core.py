@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -95,8 +96,20 @@ def _real(x, name: str, _scalars=(int, float, np.integer, np.floating)):  # boun
         except OverflowError:  # an int beyond the float range; its repr may be huge
             raise DomainError(f"{name} lies beyond the float range") from None
     a = np.asarray(None if isinstance(x, bytearray) else x)  # not a bytearray's byte values
-    _require(a.dtype.kind in "iuf", "{} must be real, got {}", name, type(x).__name__)
+    _require(a.dtype.kind in "iuf" and not _holds_bool(x),
+             "{} must be real, got {}", name, type(x).__name__)
     return _out(np.asarray(a, dtype=float))
+
+
+def _holds_bool(x, _seqs=(list, tuple)) -> bool:
+    # whether a list or tuple holds a bool or np.bool_ (0 or 1 to numpy) at any depth
+    level, types = [x], {type(x)}
+    while any(issubclass(t, _seqs) for t in types):
+        level = list(chain.from_iterable(s for s in level if isinstance(s, _seqs)))
+        types = set(map(type, level))
+        if bool in types or np.bool_ in types:
+            return True
+    return False
 
 
 def check_lambda(lam, m):

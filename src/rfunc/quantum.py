@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import hull_value
-from .core import _real, _require, check_dimension
+from .core import _holds_bool, _real, _require, check_dimension
 
 __all__ = [
     "StateValidationError",
@@ -108,14 +108,21 @@ def _nuclear_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a.T if a.shape[0] < a.shape[1] else a, "nuc"))
 
 
+def _complex_matrix(raw) -> np.ndarray:
+    a = np.asarray(raw)
+    if a.dtype.kind not in "iufc" or _holds_bool(raw):
+        raise StateValidationError("matrix entries must be numbers")
+    return np.asarray(a, dtype=complex)
+
+
 def validate_state(raw, dims) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity of a raw matrix.
 
-    ``dims`` holds two integers >= 2; a float entry must be integral, and an
-    entry that is not a real number is rejected, as is a str, bytes or
-    bytearray ``dims``, whose items are characters or byte values.  A matrix
-    whose imaginary parts are all zero is checked, and its eigenvalues taken,
-    on LAPACK's real drivers; the returned ``matrix`` is complex either way.
+    ``dims`` holds two integers >= 2: a float must be integral, and a str, bytes or
+    bytearray, whose items are characters or byte values, is rejected.  The matrix
+    entries must be int, float or complex numbers, never str, bytes, bool or objects.
+    A matrix whose imaginary parts are all zero is checked, and its eigenvalues
+    taken, on LAPACK's real drivers; the returned ``matrix`` is complex either way.
     """
     try:
         if isinstance(dims, (str, bytes, bytearray)):
@@ -125,7 +132,7 @@ def validate_state(raw, dims) -> DensityMatrix:
         # exc, not dims: the repr of an int past 4300 digits raises ValueError
         raise DimensionMismatchError(
             f"local dimensions must be two integers >= 2: {exc}") from None
-    mat = np.asarray(raw, dtype=complex)
+    mat = _complex_matrix(raw)
     if mat.shape != (m * n, m * n):
         raise DimensionMismatchError(
             f"matrix shape {mat.shape} does not match dims {m}x{n} "
@@ -164,7 +171,7 @@ def trace_norm(matrix) -> float:
     A matrix whose imaginary parts are all zero takes LAPACK's real SVD, and
     a wide matrix (fewer rows than columns) is handed to LAPACK transposed.
     """
-    mat = np.asarray(matrix, dtype=complex)
+    mat = _complex_matrix(matrix)
     if not np.all(np.isfinite(mat)):
         raise ValueError("trace_norm requires finite entries")
     return _nuclear_norm(_lapack_operand(mat))
@@ -275,8 +282,8 @@ def load_state(source) -> DensityMatrix:
     # the dtype catches strings, None and all-boolean rows; np.array reads a
     # true among numbers as 1.0, so the rows are scanned for booleans, but
     # only when the text holds a JSON boolean at all
-    if a.dtype.kind not in "iuf" or (("true" in text or "false" in text) and any(
-            type(v) is bool for row in rows for pair in row for v in pair)):
+    if a.dtype.kind not in "iuf" or (("true" in text or "false" in text)
+                                     and _holds_bool(rows)):
         raise StateValidationError("matrix entries must be numbers")
     mat = np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
     return validate_state(mat, dims)

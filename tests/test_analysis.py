@@ -23,6 +23,7 @@ from rfunc import (
     r_value,
     r_second,
 )
+from rfunc import analysis
 from rfunc.analysis import _CERTIFY_M_MAX, _grid_values
 
 
@@ -47,10 +48,10 @@ class TestFindInflection:
     def test_m2_absent(self):
         assert find_inflection(2).lambda0 is None
 
-    @pytest.mark.parametrize("m", [3, 4, 5, 64, 1000])
+    @pytest.mark.parametrize("m", [3, 4, 5, 64, 1000, 10**6, 10**9, 2**40])
     def test_lambda0_matches_mpmath(self, m):
-        # the root of g = f in the 50-digit oracle; for m in {3, 4} it lies
-        # above m-1, for m >= 5 below
+        # the root of g = f in the 50-digit oracle; one bracket (1, m) holds it
+        # for every m >= 3, above m-1 for m in {3, 4} and below for m >= 5
         mo = pytest.importorskip("mp_oracle")
         lam0 = find_inflection(m).lambda0
         with mo.mp.workdps(mo.DPS):
@@ -88,6 +89,17 @@ class TestUniqueness:
 
 DELTA_CHECKS = ["big_f_at_zero_closed_form", "big_f_at_zero_lower_bound",
                 "big_f_above_minus_one", "a_increasing", "b_increasing"]
+
+
+class TestInflectionInterval:
+    def test_fails_when_the_root_lies_right_of_m_minus_one(self, monkeypatch):
+        # at m = 5, g < f + 1/2 on all of (1, m): with no root left of m-1 the
+        # bisection ends right of it, and the check of lambda0 in (1, m-1) must fail
+        f = analysis._f
+        monkeypatch.setattr(analysis, "_f", lambda lam, m, xp: f(lam, m, xp) + 0.5)
+        check = check_named(certify_proof(5), "inflection_in_open_interval")
+        assert 4.0 < check.measured < 5.0
+        assert not check.passed
 
 
 class TestNoRootRight:

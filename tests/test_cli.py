@@ -82,6 +82,11 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "--m", "1")
         assert code == 2 and err
 
+    def test_empty_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "certify", "--m", "8..5")
+        assert code == 2 and out == ""
+        assert "empty range" in err
+
     @pytest.mark.parametrize("m", [str(2**40 + 1), str(2**53 + 1), f"{2**40 - 776}..{2**40 + 1}"],
                              ids=["2**40+1", "2**53+1", "range-across"])
     def test_dimension_past_certify_limit_exit_2(self, capsys, monkeypatch, m):

@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,6 +158,53 @@ class TestTraceNorm:
         for bad in (np.inf, complex(0.0, np.nan)):
             with pytest.raises(ValueError):
                 trace_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+# |00><00| and a mixed 2 x 2 state whose entries float32 holds exactly
+PURE = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+MIXED = [[0.5, 0.125j, 0, 0], [-0.125j, 0.25, 0, 0], [0, 0, 0.125, 0], [0, 0, 0, 0.125]]
+
+# id -> a matrix whose entries are not all numbers; numpy casts each of them
+NON_NUMBER_MATRICES = {
+    "str": [[str(v) for v in row] for row in PURE],
+    "bytes": [[str(v).encode() for v in row] for row in PURE],
+    "bool_list": [[bool(v) for v in row] for row in PURE],
+    "bool_among_numbers": [[True, 0.0, 0.0, 0.0]] + PURE[1:],
+    "np.bool_among_numbers": [row[:3] + [np.False_] for row in PURE],
+    "np.bool_array": np.array(PURE, dtype=bool),
+    "Fraction_object_array": np.array([[Fraction(v) for v in row] for row in PURE]),
+    "str_among_numbers": [["1", 0, 0, 0]] + PURE[1:],
+}
+
+# id -> a matrix of numbers
+NUMBER_MATRICES = {
+    "int_list": PURE,
+    "int_array": np.array(PURE),
+    "float32": np.array(MIXED, dtype=complex).real.astype(np.float32),
+    "complex64": np.array(MIXED, dtype=np.complex64),
+    "complex_list": MIXED,
+}
+
+
+class TestMatrixEntries:
+    @pytest.mark.parametrize("raw", NON_NUMBER_MATRICES.values(),
+                             ids=NON_NUMBER_MATRICES.keys())
+    @pytest.mark.parametrize("fn", [lambda raw: validate_state(raw, (2, 2)), trace_norm],
+                             ids=["validate_state", "trace_norm"])
+    def test_non_number_rejected(self, fn, raw):
+        with pytest.raises(StateValidationError, match="matrix entries must be numbers"):
+            fn(raw)
+
+    @pytest.mark.parametrize("raw", NUMBER_MATRICES.values(), ids=NUMBER_MATRICES.keys())
+    def test_number_taken_as_complex(self, raw):
+        mat = validate_state(raw, (2, 2)).matrix
+        want = np.asarray(raw, dtype=complex)
+        assert mat.dtype == want.dtype and mat.tobytes() == want.tobytes()
+        assert trace_norm(raw) == trace_norm(want)
+
+    def test_complex_array_not_copied(self):
+        mat = np.array(MIXED, dtype=complex)
+        assert validate_state(mat, (2, 2)).matrix is mat
 
 
 class TestLambdaOfState:

@@ -2,9 +2,10 @@
 
 Each entry point is paired with a value v inside its domain.  A non-real
 spelling of v (a string, bytes, a bool, a complex, an object or bool array,
-a Decimal or a Fraction) must raise DomainError, and so must an int past the
-float range.  A real spelling of v (an int, a numpy integer or floating
-scalar, a 0-d array) must give the same result, bit for bit, as float(x).
+a list or tuple holding a bool, a Decimal or a Fraction) must raise
+DomainError, and so must an int past the float range.  A real spelling of v
+(an int, a numpy integer or floating scalar, a 0-d array) must give the same
+result, bit for bit, as float(x).
 """
 
 from decimal import Decimal
@@ -48,6 +49,9 @@ NON_REAL = {
     "complex_zero_imag": np.complex128,
     "complex": lambda v: np.complex128(v + 0.5j),
     "str_list": lambda v: [str(v)],
+    "bool_in_list": lambda v: [True, v],
+    "np.bool_in_tuple": lambda v: (v, np.False_),
+    "bool_in_nested_list": lambda v: [[v], [True]],
     "bool_array": lambda v: np.array([True, False]),
     "object_array": lambda v: np.array([v], dtype=object),
     "Decimal": lambda v: Decimal(str(v)),
