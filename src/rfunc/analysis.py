@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _MATH, _a, _args, _b, _big_f, _f, _g, _r, _rpp, _wx
+from .core import _MATH, _args, _f, _g, _r, _wx
 from .core import (
+    LOG2E,
     TOL,
     DomainError,
     big_f_value,
@@ -103,10 +105,17 @@ class CertificateReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _sign_changes(values) -> int:
-    s = np.sign(values)
-    s = s[s != 0]
-    return int(np.count_nonzero(np.diff(s)))
+def _diff(values, out):
+    # np.diff(values), into the head of the workspace row out
+    return np.subtract(values[1:], values[:-1], out=out[:values.size - 1])
+
+
+def _sign_changes(values, s, d) -> int:
+    # sign changes along values, exact zeros skipped; s and d are workspace rows
+    np.sign(values, out=s)
+    if np.count_nonzero(s) < s.size:  # a zero on the grid: drop it first
+        return int(np.count_nonzero(np.diff(s[s != 0])))
+    return int(np.count_nonzero(_diff(s, d)))
 
 
 def find_inflection(m) -> InflectionResult:
@@ -115,14 +124,17 @@ def find_inflection(m) -> InflectionResult:
     R'' = gamma'' (g - f) with gamma'' < 0, so lambda0 is the root of g = f.  For
     every m >= 3, bisection on (1, m) never evaluates an endpoint: g - f -> -inf
     at 1, g - f ~ (m-2)(m-lambda)/(m-1) > 0 just left of m, and the root is unique.
+    It halves until the bracket is 1e-12 wide or its ends are adjacent doubles.
     """
     m = check_dimension(m)
     if m == 2:
         return InflectionResult(None, 0)
     lo, hi = 1.0, float(m)
     it = 0
-    while hi - lo > 1e-12 and it < 200:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent doubles, over 1e-12 apart past lambda0 ~ 1e4
+            break
         diff = _g(mid, m, _MATH, *_wx(mid, m, _MATH)) - _f(mid, m, _MATH)
         if diff < 0.0:
             lo = mid
@@ -137,21 +149,117 @@ def _lambda_grid(m: int, n: int) -> np.ndarray:
     return np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset, n)
 
 
-def _grid_values(m: int, grid_size: int) -> dict:
-    """The arrays ``certify_proof`` checks, each grid evaluated once on the kernels."""
+# certify_proof's grid arrays live in one (17, n) workspace per thread: 12 rows for
+# the arrays of _grid_values and 5 scratch rows.  A workspace freed after each call
+# (1.36 MB at n = 10**4) is trimmed from the heap by glibc, and the next call faults
+# every page back in; kept, it costs no fault.  Larger grids get one for the call.
+_WS_ROWS = 17
+_WS_KEEP_MAX = 100_000
+_ws_local = threading.local()
+
+
+def _workspace(n: int) -> np.ndarray:
+    """This thread's (17, n) workspace, kept between calls when n <= 10**5."""
+    ws = getattr(_ws_local, "ws", None)
+    if ws is None or ws.shape[1] != n:
+        ws = np.empty((_WS_ROWS, n))
+        if n <= _WS_KEEP_MAX:
+            _ws_local.ws = ws
+    return ws
+
+
+def _lambda_wx(lam, m, lm1, mml, w, x):
+    # core._wx into rows w and x, keeping lm1 = L - 1 and mml = m - L:
+    # w = sqrt((m-1)L) + sqrt(m-L), x = ((L-1)/w)^2
+    np.subtract(lam, 1.0, out=lm1)
+    np.subtract(m, lam, out=mml)
+    np.multiply(lam, m - 1.0, out=w)
+    np.sqrt(w, out=w)
+    np.sqrt(mml, out=x)
+    np.add(w, x, out=w)
+    np.divide(lm1, w, out=x)
+    np.square(x, out=x)
+
+
+def _lambda_g(log_m1, lm1, w, x, g):
+    # core._g into g, from the rows of _lambda_wx; overwrites lm1 and w
+    np.log(lm1, out=g)
+    np.log(w, out=w)
+    np.subtract(g, w, out=g)
+    np.multiply(g, 2.0, out=g)
+    np.subtract(g, log_m1, out=g)
+    np.negative(x, out=lm1)
+    np.log1p(lm1, out=lm1)
+    np.subtract(g, lm1, out=g)
+
+
+def _grid_values(m: int, ws: np.ndarray) -> dict:
+    """The arrays ``certify_proof`` checks, each grid evaluated once into ``ws``.
+
+    ``ws`` is a ``_workspace(n)``.  The arrays are views of its first 12 rows,
+    which the same thread's next call overwrites; the last 5 rows are scratch.
+    Each array equals the public function on the same grid, bit for bit: the
+    ufuncs are those of the ``core`` kernels, in the same order, with ``out=``.
+    """
     # the grids lie inside the domain by construction: no checks needed
-    grid = _lambda_grid(m, grid_size)
-    w, x = _wx(grid, m, np)
-    g = _g(grid, m, np, w, x)
-    vals = {"grid": grid, "gamma": 1.0 - x, "r": convert_base(_r(x, m, np), "two"),
-            "g": g, "r_second": _rpp(grid, m, np, g), "f": _f(grid, m, np)}
+    grid, g, gamma, r, rpp, f, ggrid, g_ggrid, deltas, a, b, big_f, t0, t1, t2, t3, t4 = ws
+    log_m1 = np.log(m - 1.0)
+    grid[...] = _lambda_grid(m, grid.size)
+    _lambda_wx(grid, m, t0, t2, t3, t1)  # x in t1
+    np.multiply(grid, t2, out=t2)  # L(m-L), for R'' and f
+    _lambda_g(log_m1, t0, t3, t1, g)
+    np.subtract(1.0, t1, out=gamma)
+    np.divide(t2, m - 1.0, out=f)  # core._f
+    np.sqrt(f, out=f)
+    np.multiply(f, -2.0, out=f)
+    np.power(t2, -1.5, out=rpp)  # core._rpp: gamma'' g - 1/(L(m-L))
+    np.multiply(rpp, -0.5 * np.sqrt(m - 1.0), out=rpp)
+    np.multiply(rpp, g, out=rpp)
+    np.divide(1.0, t2, out=t2)
+    np.subtract(rpp, t2, out=rpp)
+    # core._r, with core._h2 on p = gamma: small = min(p, 1-p), the mask small > 0
+    # (in the bytes of t4) and -small, each computed once
+    small, mask = t0, t4.view(bool)[:grid.size]
+    np.subtract(1.0, gamma, out=small)
+    np.minimum(gamma, small, out=small)
+    np.greater(small, 0.0, out=mask)
+    np.negative(small, out=t2)
+    t3.fill(1.0)
+    np.copyto(t3, small, where=mask)
+    np.log(t3, out=t3)
+    np.multiply(t2, t3, out=t3)
+    np.log1p(t2, out=t2)
+    np.subtract(1.0, small, out=small)
+    np.multiply(small, t2, out=small)
+    np.subtract(t3, small, out=t3)
+    r.fill(0.0)
+    np.copyto(r, t3, where=mask)
+    np.multiply(t1, log_m1, out=t1)
+    np.add(r, t1, out=r)
+    np.multiply(r, LOG2E, out=r)  # convert_base(..., "two")
+    vals = {"grid": grid, "gamma": gamma, "r": r, "g": g, "r_second": rpp, "f": f}
     if m >= 3:
-        ggrid = np.linspace(1.0 + TOL.grid_left_offset, float(m - 1), grid_size)
-        vals.update(ggrid=ggrid, g_ggrid=_g(ggrid, m, np, *_wx(ggrid, m, np)))
+        ggrid[...] = np.linspace(1.0 + TOL.grid_left_offset, float(m - 1), ggrid.size)
+        _lambda_wx(ggrid, m, t0, t2, t3, t1)
+        _lambda_g(log_m1, t0, t3, t1, g_ggrid)
+        vals.update(ggrid=ggrid, g_ggrid=g_ggrid)
     if m >= 5:
-        deltas = np.linspace(0.0, 1.0 - 1e-6, grid_size)
-        a, b = _a(deltas, m), _b(deltas, m)
-        vals.update(deltas=deltas, a=a, b=b, big_f=_big_f(a, b))
+        deltas[...] = np.linspace(0.0, 1.0 - 1e-6, deltas.size)
+        np.add(deltas, m - 1.0, out=t0)  # (m-1+delta)(1-delta), for A and B
+        np.subtract(1.0, deltas, out=t1)
+        np.multiply(t0, t1, out=t0)
+        np.divide(m - 1.0, t0, out=b)  # core._b
+        np.sqrt(b, out=b)
+        np.sqrt(t0, out=t0)  # core._a
+        np.add(t0, np.sqrt(m - 1.0), out=t0)
+        np.add(deltas, m - 2.0, out=a)
+        np.divide(a, t0, out=a)
+        np.square(a, out=a)
+        np.divide(a, m - 1.0, out=a)
+        np.multiply(b, 0.5, out=big_f)  # core._big_f; A > 0 for m >= 5
+        np.log(a, out=t0)
+        np.multiply(big_f, t0, out=big_f)
+        vals.update(deltas=deltas, a=a, b=b, big_f=big_f)
     return vals
 
 
@@ -178,26 +286,28 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     rep = CertificateReport(m)
-    vals = _grid_values(m, grid_size)
+    ws = _workspace(grid_size)
+    vals = _grid_values(m, ws)
+    d1, d2 = ws[-2:]  # scratch rows for np.diff; a NaN makes an extreme NaN, which fails
 
     def identity(name, claim, err):
         rep.add(name, claim, err, 1e-12, err <= 1e-12)
 
     def increasing(name, claim, values):
-        steps = np.diff(values)
-        rep.add(name, claim, np.min(steps), 0.0, np.all(steps > 0.0))
+        low = np.min(_diff(values, d1))
+        rep.add(name, claim, low, 0.0, low > 0.0)
 
     identity("gamma_at_one", "gamma(1) = 1", abs(gamma_value(1.0, m) - 1.0))
     identity("gamma_at_m", "gamma(m) = 1/m", abs(gamma_value(float(m), m) - 1.0 / m))
     identity("r_at_one", "R(1) = 0", abs(r_value(1.0, m)))
     identity("r_at_m", "R(m) = log2(m)", abs(r_value(float(m), m) - np.log2(m)))
 
-    steps = np.diff(vals["gamma"])
+    high = np.max(_diff(vals["gamma"], d1))
     rep.add("gamma_nonincreasing", "gamma is nonincreasing on [1, m]",
-            np.max(steps), 0.0, np.all(steps <= 0.0))
-    steps = np.diff(vals["r"])
+            high, 0.0, high <= 0.0)
+    low = np.min(_diff(vals["r"], d1))
     rep.add("r_nondecreasing", "R is nondecreasing on [1, m]",
-            np.min(steps), 0.0, np.all(steps >= 0.0))
+            low, 0.0, low >= 0.0)
 
     # R'' is positive just right of 1 (the divergence there is logarithmic,
     # so "large" cannot mean more than a few tens in double precision).
@@ -207,9 +317,9 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
 
     identity("f_endpoints", "f(1) = f(m-1) = -2",
              max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0)))
-    d2f = np.diff(vals["f"], 2)
+    low = np.min(_diff(_diff(vals["f"], d1), d2))
     rep.add("f_convex", "second differences of f are nonnegative",
-            np.min(d2f), -1e-10, np.all(d2f >= -1e-10))
+            low, -1e-10, low >= -1e-10)
 
     if m >= 3:
         increasing("g_increasing", "g strictly increasing on (1, m-1]",
@@ -230,7 +340,7 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
                     rpp_m1, 0.0, rpp_m1 < 0.0)
 
     expected = 0 if m == 2 else 1
-    count = _sign_changes(vals["r_second"])
+    count = _sign_changes(vals["r_second"], d1, d2)
     rep.add("unique_inflection",
             f"exactly {expected} sign change(s) of R'' on (1, m)",
             count, expected, count == expected)
@@ -251,9 +361,9 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
         log_3_8 = np.log(3.0 / 8.0)
         rep.add("big_f_at_zero_lower_bound", "F(0) >= log(3/8) > -1",
                 f0, log_3_8, f0 >= log_3_8 - 1e-12)
-        fvals = vals["big_f"]
+        low = np.min(vals["big_f"])
         rep.add("big_f_above_minus_one", "F(delta) > -1 on [0, 1)",
-                np.min(fvals), -1.0, np.all(fvals > -1.0))
+                low, -1.0, low > -1.0)
         increasing("a_increasing", "A(delta) strictly increasing on [0, 1)",
                    vals["a"])
         increasing("b_increasing", "B(delta) strictly increasing on [0, 1)",

@@ -102,12 +102,16 @@ def _real(x, name: str, _scalars=(int, float, np.integer, np.floating)):  # boun
 
 
 def _holds_bool(x, _seqs=(list, tuple)) -> bool:
-    # whether a list or tuple holds a bool or np.bool_ (0 or 1 to numpy) at any depth
+    # whether a list or tuple holds a bool, np.bool_ or bool array (0 or 1 to numpy)
+    # at any depth
     level, types = [x], {type(x)}
     while any(issubclass(t, _seqs) for t in types):
         level = list(chain.from_iterable(s for s in level if isinstance(s, _seqs)))
         types = set(map(type, level))
         if bool in types or np.bool_ in types:
+            return True
+        if any(issubclass(t, np.ndarray) for t in types) and any(
+                isinstance(s, np.ndarray) and s.dtype == bool for s in level):
             return True
     return False
 

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -24,7 +26,7 @@ from rfunc import (
     r_second,
 )
 from rfunc import analysis
-from rfunc.analysis import _CERTIFY_M_MAX, _grid_values
+from rfunc.analysis import _CERTIFY_M_MAX, _grid_values, _workspace
 
 
 class TestFindInflection:
@@ -60,6 +62,15 @@ class TestFindInflection:
                 return ref.g_value - ref.f_value
             err = abs(lam0 - mo.mp.findroot(g_minus_f, mo.mp.mpf(lam0)))
         assert err <= 1e-12, f"error {float(err):.3e}"
+
+    @pytest.mark.parametrize("m", [10**20, 10**48, 10**100, 10**300])
+    def test_root_past_a_1e_12_bracket(self, m):
+        # from m ~ 1e48 on, lambda0 > 1e4, where adjacent doubles lie more than
+        # 1e-12 apart: the bisection must stop there, at a root, not at a cap
+        res = find_inflection(m)
+        assert 1.0 < res.lambda0 < m - 1.0
+        resid = abs(g_value(res.lambda0, m) - f_value(res.lambda0, m))
+        assert resid <= TOL.inflection_residual
 
     @pytest.mark.parametrize("m", [5, 11, 40])
     def test_r_second_changes_sign_at_lambda0(self, m):
@@ -179,24 +190,94 @@ class TestCertifyProof:
             assert isinstance(check["pass"], bool)
             assert isinstance(check["measured"], float)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 10 ** 3, 10 ** 6])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 10 ** 3, 10 ** 6, 2**40])
     def test_grid_values_equal_public_functions(self, m):
-        # certify_proof runs the kernels on its grids unchecked; every array
-        # must equal the checked public function on the same grid, bit for bit
-        vals = _grid_values(m, 10_000)
-        grid = vals["grid"]
-        want = {"gamma": gamma_value(grid, m), "r": r_value(grid, m),
-                "g": g_value(grid, m), "r_second": r_second(grid, m),
-                "f": f_value(grid, m)}
-        if m >= 3:
-            want["g_ggrid"] = g_value(vals["ggrid"], m)
-        if m >= 5:
-            deltas = vals["deltas"]
-            want.update(a=a_value(deltas, m), b=b_value(deltas, m),
-                        big_f=big_f_value(deltas, m))
-        assert set(vals) - {"grid", "ggrid", "deltas"} == set(want)
-        for name, expected in want.items():
-            assert np.array_equal(vals[name], expected), name
+        # certify_proof evaluates its grids in place, unchecked; every array
+        # must equal the checked public function on the same grid, bit for bit,
+        # at the default grid size and at another one
+        for n in (10_000, 1001):
+            vals = _grid_values(m, _workspace(n))
+            grid = vals["grid"]
+            assert grid.size == n
+            want = {"gamma": gamma_value(grid, m), "r": r_value(grid, m),
+                    "g": g_value(grid, m), "r_second": r_second(grid, m),
+                    "f": f_value(grid, m)}
+            if m >= 3:
+                want["g_ggrid"] = g_value(vals["ggrid"], m)
+            if m >= 5:
+                deltas = vals["deltas"]
+                want.update(a=a_value(deltas, m), b=b_value(deltas, m),
+                            big_f=big_f_value(deltas, m))
+            assert set(vals) - {"grid", "ggrid", "deltas"} == set(want)
+            for name, expected in want.items():
+                assert np.array_equal(vals[name], expected), (name, n)
+
+
+def _in_fresh_thread(fn):
+    # fn() in a new thread, whose workspace starts empty: a first call
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(out) == 1
+    return out[0]
+
+
+class TestWorkspace:
+    # certify_proof evaluates its grids in one workspace per thread, reused
+    # from call to call while the grid has at most 10**5 points
+
+    def test_interleaved_calls_match_first_calls(self):
+        cases = [(m, n) for n in (1000, 1001, 12345, 200_000) for m in (2, 3, 5, 64, 10**6)]
+        first = {case: _in_fresh_thread(lambda case=case: certify_proof(*case).to_dict())
+                 for case in cases}
+        for case in cases[::2] + cases[::-1] + cases[1::2]:
+            assert certify_proof(*case).to_dict() == first[case], case
+
+    def test_kept_only_up_to_1e5_points(self):
+        assert _workspace(100_000) is _workspace(100_000)
+        assert _workspace(100_001) is not _workspace(100_001)
+        assert _workspace(1000).shape == (17, 1000)
+
+    def test_concurrent_threads_match_serial_runs(self):
+        ms = {0: [5, 64, 1000, 7, 2**40], 1: [3, 10**6, 40, 2, 11]}
+        serial = {k: [certify_proof(m).to_dict() for m in v] for k, v in ms.items()}
+        got = {0: [], 1: []}
+        start = threading.Barrier(2, timeout=60)
+
+        def work(k):
+            start.wait()
+            for _ in range(3):
+                got[k].extend(certify_proof(m).to_dict() for m in ms[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in ms]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in ms:
+            assert got[k] == serial[k] * 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults are counted as on Linux")
+    def test_warm_calls_fault_no_pages(self):
+        # a grid workspace freed per call is trimmed from the heap and faulted
+        # back in on the next call: about 300 minor faults per call
+        import resource  # Unix only
+
+        for _ in range(3):
+            certify_proof(1000)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            certify_proof(1000)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 20 * 20, f"{faults / 20:.1f} minor page faults per call"
 
 
 class TestTangent:

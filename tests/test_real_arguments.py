@@ -2,7 +2,7 @@
 
 Each entry point is paired with a value v inside its domain.  A non-real
 spelling of v (a string, bytes, a bool, a complex, an object or bool array,
-a list or tuple holding a bool, a Decimal or a Fraction) must raise
+a list or tuple holding a bool or a bool array, a Decimal or a Fraction) must raise
 DomainError, and so must an int past the float range.  A real spelling of v
 (an int, a numpy integer or floating scalar, a 0-d array) must give the same
 result, bit for bit, as float(x).
@@ -53,6 +53,7 @@ NON_REAL = {
     "np.bool_in_tuple": lambda v: (v, np.False_),
     "bool_in_nested_list": lambda v: [[v], [True]],
     "bool_array": lambda v: np.array([True, False]),
+    "bool_array_in_list": lambda v: [np.array([v]), np.array([v >= 1])],  # 0 or 1, in domain
     "object_array": lambda v: np.array([v], dtype=object),
     "Decimal": lambda v: Decimal(str(v)),
     "Fraction": lambda v: Fraction(str(v)),
