@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _MATH, _args, _f, _g, _r, _wx
+from .core import _MATH, _args, _f, _g, _gp, _r, _wx
 from .core import (
     LOG2E,
     TOL,
@@ -48,7 +48,8 @@ class InflectionResult:
     """Location of the zero of R'' (absent when R'' keeps one sign)."""
 
     lambda0: float | None
-    iterations: int
+    iterations: int  # evaluations of g - f
+    residual: float | None = None  # |g - f| at lambda0
 
 
 @dataclass(frozen=True)
@@ -111,61 +112,109 @@ def _diff(values, out):
 
 
 def _sign_changes(values, s, d) -> int:
-    # sign changes along values, exact zeros skipped; s and d are workspace rows
-    np.sign(values, out=s)
-    if np.count_nonzero(s) < s.size:  # a zero on the grid: drop it first
-        return int(np.count_nonzero(np.diff(s[s != 0])))
-    return int(np.count_nonzero(_diff(s, d)))
+    # sign changes along values, exact zeros skipped; s and d are workspace rows,
+    # whose bytes hold the masks values > 0 and values < 0
+    pos, neg = s.view(bool)[:values.size], d.view(bool)[:values.size]
+    np.greater(values, 0.0, out=pos)
+    np.less(values, 0.0, out=neg)
+    if np.count_nonzero(pos) + np.count_nonzero(neg) < values.size:  # a zero or NaN
+        np.sign(values, out=s)
+        return int(np.count_nonzero(np.diff(s[s != 0])))  # NaN != 0: a NaN counts
+    return int(np.count_nonzero(np.not_equal(pos[1:], pos[:-1], out=neg[:-1])))
 
 
 def find_inflection(m) -> InflectionResult:
     """Locate the unique zero lambda0 of R'' in (1, m); ``None`` at m = 2, where g < f.
 
     R'' = gamma'' (g - f) with gamma'' < 0, so lambda0 is the root of g = f.  For
-    every m >= 3, bisection on (1, m) never evaluates an endpoint: g - f -> -inf
-    at 1, g - f ~ (m-2)(m-lambda)/(m-1) > 0 just left of m, and the root is unique.
-    It halves until the bracket is 1e-12 wide or its ends are adjacent doubles.
+    every m >= 3 it lies in the bracket (1, m): g - f -> -inf at 1, g - f ~
+    (m-2)(m-lambda)/(m-1) > 0 just left of m, and the root is unique.  From the
+    midpoint, it takes Newton steps on g - f, with the closed-form slope
+    -gamma'/(gamma x) + (m - 2L)/sqrt((m-1)L(m-L)) (x = 1 - gamma); each value of
+    g - f moves one end of the bracket (g - f < 0 at lo, >= 0 at hi).  A step that
+    leaves the bracket, or a slope that is not a finite positive number, is
+    replaced by the midpoint, so no endpoint is evaluated.  It stops when g - f = 0,
+    the bracket is 1e-12 wide, a step does not move or the ends are adjacent
+    doubles, and returns the last lambda it evaluated, the number of evaluations
+    and |g - f| there.
     """
     m = check_dimension(m)
     if m == 2:
         return InflectionResult(None, 0)
     lo, hi = 1.0, float(m)
-    it = 0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # adjacent doubles, over 1e-12 apart past lambda0 ~ 1e4
-            break
-        diff = _g(mid, m, _MATH, *_wx(mid, m, _MATH)) - _f(mid, m, _MATH)
-        if diff < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lam, it = 0.5 * (lo + hi), 0
+    while True:
+        w, x = _wx(lam, m, _MATH)
+        diff = _g(lam, m, _MATH, w, x) - _f(lam, m, _MATH)
         it += 1
-    return InflectionResult(0.5 * (lo + hi), it)
+        if diff < 0.0:
+            lo = lam
+        else:
+            hi = lam
+        if diff == 0.0 or hi - lo <= 1e-12:
+            break
+        step = math.nan  # the midpoint, unless the slope is finite and positive
+        gx = (1.0 - x) * x  # 0 where x underflows, next to 1 for m past ~1e200
+        if gx > 0.0:
+            slope = (-_gp(lam, m, _MATH, w, x) / gx
+                     + (m - 2.0 * lam) / math.sqrt((m - 1.0) * lam * (m - lam)))
+            if 0.0 < slope < math.inf:
+                step = lam - diff / slope
+        if step == lam:  # converged: the step does not move
+            break
+        if not lo < step < hi:  # NaN too
+            step = 0.5 * (lo + hi)
+            if step == lo or step == hi:  # adjacent doubles
+                break
+        lam = step
+    return InflectionResult(lam, it, abs(diff))
+
+
+def _lambda_ends(m: int) -> tuple[float, float]:
+    """The ends of the lambda grid of the certifier and of ``rfunc table``, inside (1, m)."""
+    return 1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset
 
 
 def _lambda_grid(m: int, n: int) -> np.ndarray:
-    """The n-point lambda grid of the certifier and of ``rfunc table``, inside (1, m)."""
-    return np.linspace(1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset, n)
+    """The n-point lambda grid of ``rfunc table``; the certifier writes the same one in place."""
+    return np.linspace(*_lambda_ends(m), n)
 
 
-# certify_proof's grid arrays live in one (17, n) workspace per thread: 12 rows for
-# the arrays of _grid_values and 5 scratch rows.  A workspace freed after each call
-# (1.36 MB at n = 10**4) is trimmed from the heap by glibc, and the next call faults
-# every page back in; kept, it costs no fault.  Larger grids get one for the call.
-_WS_ROWS = 17
+# certify_proof's grid arrays live in one (18, n) workspace per thread: 12 rows for
+# the arrays of _grid_values, the ramp 0, 1, ..., n-1 and 5 scratch rows.  A
+# workspace freed after each call (1.44 MB at n = 10**4) is trimmed from the heap by
+# glibc, and the next call faults every page back in; kept, it costs no fault.
+# Larger grids get one for the call.  Rows 0-4 hold the arrays that must be
+# monotone, side by side, and rows 13-17 the scratch, so that one np.subtract
+# differences all five.  The delta grid (row 10) and the ramp (row 12) do not
+# depend on m and are written once, with the workspace.
+_WS_ROWS = 18
 _WS_KEEP_MAX = 100_000
+_MONOTONE = 5  # gamma, R, g on the g-grid, A, B
+_DELTAS = 10
+_RAMP = 12
+_SCRATCH = 13
 _ws_local = threading.local()
 
 
 def _workspace(n: int) -> np.ndarray:
-    """This thread's (17, n) workspace, kept between calls when n <= 10**5."""
+    """This thread's (18, n) workspace, kept between calls when n <= 10**5."""
     ws = getattr(_ws_local, "ws", None)
     if ws is None or ws.shape[1] != n:
         ws = np.empty((_WS_ROWS, n))
+        ws[_DELTAS] = np.linspace(0.0, 1.0 - 1e-6, n)
+        ws[_RAMP] = np.arange(n, dtype=float)
         if n <= _WS_KEEP_MAX:
             _ws_local.ws = ws
     return ws
+
+
+def _linspace(ramp, start, stop, out):
+    # np.linspace(start, stop, n) into out, from ramp = arange(n): numpy's operations
+    # (ramp * step + start, then the exact stop), without its per-call set-up
+    np.multiply(ramp, (stop - start) / (ramp.size - 1), out=out)
+    np.add(out, start, out=out)
+    out[-1] = stop
 
 
 def _lambda_wx(lam, m, lm1, mml, w, x):
@@ -198,13 +247,16 @@ def _grid_values(m: int, ws: np.ndarray) -> dict:
 
     ``ws`` is a ``_workspace(n)``.  The arrays are views of its first 12 rows,
     which the same thread's next call overwrites; the last 5 rows are scratch.
+    The first 5 rows are gamma, R, g on the g-grid, A and B: those that exist
+    for m (2 at m = 2, 3 for m < 5) are a block of leading rows.
     Each array equals the public function on the same grid, bit for bit: the
     ufuncs are those of the ``core`` kernels, in the same order, with ``out=``.
     """
     # the grids lie inside the domain by construction: no checks needed
-    grid, g, gamma, r, rpp, f, ggrid, g_ggrid, deltas, a, b, big_f, t0, t1, t2, t3, t4 = ws
+    (gamma, r, g_ggrid, a, b, grid, g, rpp, f, ggrid, deltas, big_f, ramp,
+     t0, t1, t2, t3, t4) = ws
     log_m1 = np.log(m - 1.0)
-    grid[...] = _lambda_grid(m, grid.size)
+    _linspace(ramp, *_lambda_ends(m), grid)
     _lambda_wx(grid, m, t0, t2, t3, t1)  # x in t1
     np.multiply(grid, t2, out=t2)  # L(m-L), for R'' and f
     _lambda_g(log_m1, t0, t3, t1, g)
@@ -218,7 +270,7 @@ def _grid_values(m: int, ws: np.ndarray) -> dict:
     np.divide(1.0, t2, out=t2)
     np.subtract(rpp, t2, out=rpp)
     # core._r, with core._h2 on p = gamma: small = min(p, 1-p), the mask small > 0
-    # (in the bytes of t4) and -small, each computed once
+    # (in the bytes of t4) and -small
     small, mask = t0, t4.view(bool)[:grid.size]
     np.subtract(1.0, gamma, out=small)
     np.minimum(gamma, small, out=small)
@@ -231,20 +283,17 @@ def _grid_values(m: int, ws: np.ndarray) -> dict:
     np.log1p(t2, out=t2)
     np.subtract(1.0, small, out=small)
     np.multiply(small, t2, out=small)
-    np.subtract(t3, small, out=t3)
-    r.fill(0.0)
-    np.copyto(r, t3, where=mask)
+    np.subtract(t3, small, out=r)
     np.multiply(t1, log_m1, out=t1)
     np.add(r, t1, out=r)
     np.multiply(r, LOG2E, out=r)  # convert_base(..., "two")
     vals = {"grid": grid, "gamma": gamma, "r": r, "g": g, "r_second": rpp, "f": f}
     if m >= 3:
-        ggrid[...] = np.linspace(1.0 + TOL.grid_left_offset, float(m - 1), ggrid.size)
+        _linspace(ramp, 1.0 + TOL.grid_left_offset, float(m - 1), ggrid)
         _lambda_wx(ggrid, m, t0, t2, t3, t1)
         _lambda_g(log_m1, t0, t3, t1, g_ggrid)
         vals.update(ggrid=ggrid, g_ggrid=g_ggrid)
     if m >= 5:
-        deltas[...] = np.linspace(0.0, 1.0 - 1e-6, deltas.size)
         np.add(deltas, m - 1.0, out=t0)  # (m-1+delta)(1-delta), for A and B
         np.subtract(1.0, deltas, out=t1)
         np.multiply(t0, t1, out=t0)
@@ -288,26 +337,29 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     rep = CertificateReport(m)
     ws = _workspace(grid_size)
     vals = _grid_values(m, ws)
-    d1, d2 = ws[-2:]  # scratch rows for np.diff; a NaN makes an extreme NaN, which fails
+    # the steps of the monotone rows that exist for m, in one pass into the scratch
+    # rows, and their extremes before f_convex and the sign scan reuse those rows;
+    # a NaN makes an extreme NaN, which fails
+    k = 2 if m == 2 else 3 if m < 5 else _MONOTONE
+    steps = np.subtract(ws[:k, 1:], ws[:k, :-1], out=ws[_SCRATCH:_SCRATCH + k, :-1])
+    low, high = steps.min(axis=1), steps[0].max()
+    d1, d2 = ws[-2:]
 
     def identity(name, claim, err):
         rep.add(name, claim, err, 1e-12, err <= 1e-12)
 
-    def increasing(name, claim, values):
-        low = np.min(_diff(values, d1))
-        rep.add(name, claim, low, 0.0, low > 0.0)
+    def increasing(name, claim, row):
+        rep.add(name, claim, low[row], 0.0, low[row] > 0.0)
 
     identity("gamma_at_one", "gamma(1) = 1", abs(gamma_value(1.0, m) - 1.0))
     identity("gamma_at_m", "gamma(m) = 1/m", abs(gamma_value(float(m), m) - 1.0 / m))
     identity("r_at_one", "R(1) = 0", abs(r_value(1.0, m)))
     identity("r_at_m", "R(m) = log2(m)", abs(r_value(float(m), m) - np.log2(m)))
 
-    high = np.max(_diff(vals["gamma"], d1))
     rep.add("gamma_nonincreasing", "gamma is nonincreasing on [1, m]",
             high, 0.0, high <= 0.0)
-    low = np.min(_diff(vals["r"], d1))
     rep.add("r_nondecreasing", "R is nondecreasing on [1, m]",
-            low, 0.0, low >= 0.0)
+            low[1], 0.0, low[1] >= 0.0)
 
     # R'' is positive just right of 1 (the divergence there is logarithmic,
     # so "large" cannot mean more than a few tens in double precision).
@@ -317,13 +369,12 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
 
     identity("f_endpoints", "f(1) = f(m-1) = -2",
              max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0)))
-    low = np.min(_diff(_diff(vals["f"], d1), d2))
+    curv = np.min(_diff(_diff(vals["f"], d1), d2))
     rep.add("f_convex", "second differences of f are nonnegative",
-            low, -1e-10, low >= -1e-10)
+            curv, -1e-10, curv >= -1e-10)
 
     if m >= 3:
-        increasing("g_increasing", "g strictly increasing on (1, m-1]",
-                   vals["g_ggrid"])
+        increasing("g_increasing", "g strictly increasing on (1, m-1]", 2)
         log_ratio = np.log((m - 2.0) / (2.0 * (m - 1.0)))
         gm1 = g_value(float(m - 1), m)
         identity("g_at_m_minus_one_closed_form", "g(m-1) = 2 log((m-2)/(2(m-1)))",
@@ -347,10 +398,9 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
 
     if m >= 5:
         res = find_inflection(m)
-        resid = abs(g_value(res.lambda0, m) - f_value(res.lambda0, m))
         rep.add("inflection_residual", "|g(lambda0) - f(lambda0)| < 1e-10",
-                resid, TOL.inflection_residual,
-                resid < TOL.inflection_residual)
+                res.residual, TOL.inflection_residual,
+                res.residual < TOL.inflection_residual)
         rep.add("inflection_in_open_interval", "lambda0 in (1, m-1)",
                 res.lambda0, float(m - 1),
                 1.0 < res.lambda0 < m - 1.0)
@@ -361,13 +411,11 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
         log_3_8 = np.log(3.0 / 8.0)
         rep.add("big_f_at_zero_lower_bound", "F(0) >= log(3/8) > -1",
                 f0, log_3_8, f0 >= log_3_8 - 1e-12)
-        low = np.min(vals["big_f"])
+        f_low = np.min(vals["big_f"])
         rep.add("big_f_above_minus_one", "F(delta) > -1 on [0, 1)",
-                low, -1.0, low > -1.0)
-        increasing("a_increasing", "A(delta) strictly increasing on [0, 1)",
-                   vals["a"])
-        increasing("b_increasing", "B(delta) strictly increasing on [0, 1)",
-                   vals["b"])
+                f_low, -1.0, f_low > -1.0)
+        increasing("a_increasing", "A(delta) strictly increasing on [0, 1)", 3)
+        increasing("b_increasing", "B(delta) strictly increasing on [0, 1)", 4)
 
     return rep
 

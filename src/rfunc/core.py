@@ -165,12 +165,10 @@ _MATH = SimpleNamespace(sqrt=math.sqrt, log=math.log, log1p=_log1p,
 
 def _h2(p, xp):
     # natural-log H2 through the symmetry H2(p) = H2(1-p): the log1p branch
-    # always gets the argument closest to 1, which keeps precision at 0 and 1
+    # always gets the argument closest to 1, which keeps precision at 0 and 1.
+    # At small = 0 the expression is -0 log 1 - 1 log1p(-0) = -0 - (-0) = +0
     small = xp.minimum(p, 1.0 - p)
-    return xp.where(small > 0.0,
-                    -small * xp.log(xp.where(small > 0.0, small, 1.0))
-                    - (1.0 - small) * xp.log1p(-small),
-                    0.0)
+    return -small * xp.log(xp.where(small > 0.0, small, 1.0)) - (1.0 - small) * xp.log1p(-small)
 
 
 def binary_entropy(x, base: str = "two"):

@@ -25,8 +25,8 @@ from rfunc import (
     r_value,
     r_second,
 )
-from rfunc import analysis
-from rfunc.analysis import _CERTIFY_M_MAX, _grid_values, _workspace
+from rfunc import InflectionResult, analysis
+from rfunc.analysis import _CERTIFY_M_MAX, _grid_values, _lambda_grid, _workspace
 
 
 class TestFindInflection:
@@ -63,14 +63,36 @@ class TestFindInflection:
             err = abs(lam0 - mo.mp.findroot(g_minus_f, mo.mp.mpf(lam0)))
         assert err <= 1e-12, f"error {float(err):.3e}"
 
-    @pytest.mark.parametrize("m", [10**20, 10**48, 10**100, 10**300])
+    @pytest.mark.parametrize("m", [10**20, 10**48, 10**100, 10**200, 10**250, 10**300])
     def test_root_past_a_1e_12_bracket(self, m):
         # from m ~ 1e48 on, lambda0 > 1e4, where adjacent doubles lie more than
-        # 1e-12 apart: the bisection must stop there, at a root, not at a cap
-        res = find_inflection(m)
+        # 1e-12 apart: the search must stop there, at a root, not at a cap.  From
+        # m ~ 1e200 on, x = 1 - gamma underflows to 0 near lambda = 1, where
+        # Newton's slope divides by x: the midpoint must stand in for that step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = find_inflection(m)
         assert 1.0 < res.lambda0 < m - 1.0
         resid = abs(g_value(res.lambda0, m) - f_value(res.lambda0, m))
         assert resid <= TOL.inflection_residual
+
+    @pytest.mark.parametrize("m, most", [(m, 20) for m in (3, 4, 5, 10, 64, 10**3, 10**5, 10**6)]
+                             + [(2**40, 40)])
+    def test_evaluation_count(self, m, most):
+        # Newton steps, against 41 to 80 halvings of (1, m) by bisection
+        res = find_inflection(m)
+        assert 0 < res.iterations <= most
+        assert find_inflection(m) == res
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 64, 10**6, 2**40, 10**300])
+    def test_residual_is_that_of_lambda0(self, m):
+        # lambda0 is the last point evaluated, so its residual is exact, bit for bit
+        res = find_inflection(m)
+        assert res.residual == abs(g_value(res.lambda0, m) - f_value(res.lambda0, m))
+
+    def test_m2_has_no_residual(self):
+        assert find_inflection(2) == InflectionResult(None, 0)
+        assert InflectionResult(None, 0).residual is None
 
     @pytest.mark.parametrize("m", [5, 11, 40])
     def test_r_second_changes_sign_at_lambda0(self, m):
@@ -199,6 +221,12 @@ class TestCertifyProof:
             vals = _grid_values(m, _workspace(n))
             grid = vals["grid"]
             assert grid.size == n
+            # the grids are written in place from a ramp, as np.linspace writes them
+            assert np.array_equal(grid, _lambda_grid(m, n))
+            if m >= 3:
+                assert np.array_equal(vals["ggrid"], np.linspace(1.0 + 1e-6, m - 1.0, n))
+            if m >= 5:
+                assert np.array_equal(vals["deltas"], np.linspace(0.0, 1.0 - 1e-6, n))
             want = {"gamma": gamma_value(grid, m), "r": r_value(grid, m),
                     "g": g_value(grid, m), "r_second": r_second(grid, m),
                     "f": f_value(grid, m)}
@@ -211,6 +239,40 @@ class TestCertifyProof:
             assert set(vals) - {"grid", "ggrid", "deltas"} == set(want)
             for name, expected in want.items():
                 assert np.array_equal(vals[name], expected), (name, n)
+
+
+# each array certify_proof checks for monotonicity or a bound, the check that reads
+# it, and a shift of one interior value that breaks that check
+CORRUPTIONS = [("gamma", "gamma_nonincreasing", 1.0), ("r", "r_nondecreasing", -1.0),
+               ("g_ggrid", "g_increasing", -1.0), ("a", "a_increasing", -1.0),
+               ("b", "b_increasing", -1.0), ("big_f", "big_f_above_minus_one", -1.0)]
+
+
+class TestCorruptedRows:
+    # the monotone arrays are differenced in one pass into the workspace's scratch
+    # rows: a block written over another array, or read from the wrong row, must
+    # show.  F's minimum lies on the last node, which that block does not reach,
+    # so the value corrupted is an interior one
+
+    @pytest.mark.parametrize("m, name, check, shift", [  # the arrays that exist for m
+        (m, *c) for m, k in ((2, 2), (3, 3), (5, 6), (10**6, 6)) for c in CORRUPTIONS[:k]])
+    def test_only_the_matching_check_fails(self, monkeypatch, m, name, check, shift):
+        clean = certify_proof(m).checks
+        grid_values = analysis._grid_values
+
+        def corrupted(m, ws):
+            vals = grid_values(m, ws)
+            vals[name][vals[name].size // 2] += shift
+            return vals
+
+        monkeypatch.setattr(analysis, "_grid_values", corrupted)
+        got = certify_proof(m).checks
+        assert [c.name for c in got] == [c.name for c in clean]
+        for bad, good in zip(got, clean):
+            if bad.name == check:
+                assert good.passed and not bad.passed
+            else:
+                assert bad == good, bad.name
 
 
 def _in_fresh_thread(fn):
@@ -237,7 +299,7 @@ class TestWorkspace:
     def test_kept_only_up_to_1e5_points(self):
         assert _workspace(100_000) is _workspace(100_000)
         assert _workspace(100_001) is not _workspace(100_001)
-        assert _workspace(1000).shape == (17, 1000)
+        assert _workspace(1000).shape == (18, 1000)
 
     def test_concurrent_threads_match_serial_runs(self):
         ms = {0: [5, 64, 1000, 7, 2**40], 1: [3, 10**6, 40, 2, 11]}

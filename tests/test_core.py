@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +38,18 @@ class TestBinaryEntropy:
     def test_endpoints(self):
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: binary_entropy(0.0), lambda: binary_entropy(1.0),
+        lambda: binary_entropy(1.0, base="natural"),
+        lambda: r_value(1.0, 2), lambda: r_value(1.0, 5), lambda: r_value(1.0, 10**6),
+        lambda: float(binary_entropy(np.array([0.0, 1.0]))[1]),
+        lambda: float(r_value(np.array([1.0, 2.0]), 5)[0]),
+    ])
+    def test_zero_is_positive_zero(self, call):
+        # H2 takes no branch at 0 and 1: -0 log 1 - 1 log1p(-0) must give +0, not -0
+        value = call()
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_quarter(self):
         # high-precision value of -x log2 x - (1-x) log2(1-x) at x = 1/4

@@ -447,6 +447,82 @@ class TestEofLowerBound:
             assert bound <= isotropic_eof(2, fid) + 1e-9
 
 
+# Two references for the EOF that do not go through the R-curve: Wootters'
+# formula on two qubits (PRL 80, 2245 (1998)) and, on a pure state, the entropy
+# of entanglement.  co(R)(Lambda) is a lower bound, so it may not exceed either.
+SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
+
+
+def _entropy_bits(p):
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def _wootters_cases():
+    """Seeded two-qubit states of rank 1 to 4, as (rho, Psi) with rho = Psi Psi^dagger."""
+    rng = np.random.default_rng(44)
+    for rank in (1, 2, 3, 4):
+        for _ in range(100):
+            psi = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            psi /= np.linalg.norm(psi)
+            yield validate_state(psi @ psi.conj().T, (2, 2)), psi
+
+
+def _wootters_eof(psi):
+    # the lambda_i of the concurrence are the singular values of Psi^T (sy x sy) Psi:
+    # sqrt(eig(rho rho~)) loses sqrt(eps) on a rank-deficient rho
+    lam = np.linalg.svd(psi.T @ SIGMA_YY @ psi, compute_uv=False)
+    c = min(1.0, max(0.0, lam[0] - lam[1:].sum()))
+    small = c * c / (2.0 * (1.0 + np.sqrt(1.0 - c * c)))  # (1 - sqrt(1 - C^2))/2
+    return _entropy_bits(np.array([small, 1.0 - small]))
+
+
+def _pure_cases():
+    """Seeded pure states of 2 x 2 to 4 x 6, as (rho, Psi) with Psi the m x n amplitudes."""
+    rng = np.random.default_rng(45)
+    for m in (2, 3, 4):
+        for n in range(m, 7):
+            for _ in range(30):
+                psi = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+                psi /= np.linalg.norm(psi)
+                vec = psi.reshape(m * n)
+                yield validate_state(np.outer(vec, vec.conj()), (m, n)), psi
+
+
+def _entanglement_entropy(psi):
+    return _entropy_bits(np.linalg.svd(psi, compute_uv=False) ** 2)
+
+
+REFERENCES = {"wootters": (_wootters_cases, _wootters_eof),
+              "pure": (_pure_cases, _entanglement_entropy)}
+
+
+def _violations(bound, reference):
+    # (dims, excess) of every case whose bound exceeds the reference by over 1e-12
+    cases, exact = REFERENCES[reference]
+    out = []
+    for rho, psi in cases():
+        excess = bound(rho) - exact(psi)
+        if excess > 1e-12:
+            out.append((rho.dims, excess))
+    return out
+
+
+class TestIndependentReferences:
+    @pytest.mark.parametrize("reference", sorted(REFERENCES))
+    def test_bound_at_most_the_reference(self, reference):
+        assert _violations(eof_lower_bound, reference) == []
+
+    @pytest.mark.parametrize("reference", sorted(REFERENCES))
+    def test_catches_a_shifted_lambda(self, reference):
+        # co(R) at Lambda + 1e-3 is no lower bound: the same check must see it
+        def shifted(rho):
+            lam = min(lambda_of_state(rho).lam + 1e-3, float(rho.m))
+            return hull_value(lam, rho.m)
+
+        assert _violations(shifted, reference)
+
+
 class TestStateFileFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(17)
