@@ -3,8 +3,12 @@
 The R-curve is convex on [1, lambda0] and concave on [lambda0, m], so its
 convex envelope coincides with R up to a tangent abscissa lambda* and is the
 straight line through (m, log m) afterwards.  ``certify_proof`` re-checks
-every inequality that this structure rests on, on dense grids, and returns a
-machine-readable report.
+every inequality that this structure rests on and returns a machine-readable
+report.  The endpoint values are checked against their closed forms.  Each
+monotone claim (gamma decreasing, R and g increasing, f convex) is checked as
+the sign of its closed-form derivative, at the worst point of a dense lambda
+grid.  The sign changes of R'', and the delta route's A, B and F, are sampled
+on dense grids.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _MATH, _args, _f, _g, _gp, _r, _wx
+from .core import _MATH, _args, _f, _f_second, _g, _g_first, _r, _wx
 from .core import (
-    LOG2E,
     TOL,
     DomainError,
     big_f_value,
@@ -106,11 +109,6 @@ class CertificateReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _diff(values, out):
-    # np.diff(values), into the head of the workspace row out
-    return np.subtract(values[1:], values[:-1], out=out[:values.size - 1])
-
-
 def _sign_changes(values, s, d) -> int:
     # sign changes along values, exact zeros skipped; s and d are workspace rows,
     # whose bytes hold the masks values > 0 and values < 0
@@ -130,10 +128,11 @@ def find_inflection(m) -> InflectionResult:
     every m >= 3 it lies in the bracket (1, m): g - f -> -inf at 1, g - f ~
     (m-2)(m-lambda)/(m-1) > 0 just left of m, and the root is unique.  From the
     midpoint, it takes Newton steps on g - f, with the closed-form slope
-    -gamma'/(gamma x) + (m - 2L)/sqrt((m-1)L(m-L)) (x = 1 - gamma); each value of
-    g - f moves one end of the bracket (g - f < 0 at lo, >= 0 at hi).  A step that
-    leaves the bracket, or a slope that is not a finite positive number, is
-    replaced by the midpoint, so no endpoint is evaluated.  It stops when g - f = 0,
+    g' - f' = -gamma'/(gamma x) + (m - 2L)/sqrt((m-1)L(m-L)) (x = 1 - gamma); each
+    value of g - f moves one end of the bracket (g - f < 0 at lo, >= 0 at hi).  A
+    step that leaves the bracket, or a slope that is not a finite positive number,
+    is replaced by a midpoint of the bracket, sqrt(lo hi) while hi > 4 lo and
+    (lo + hi)/2 after, so no endpoint is evaluated.  It stops when g - f = 0,
     the bracket is 1e-12 wide, a step does not move or the ends are adjacent
     doubles, and returns the last lambda it evaluated, the number of evaluations
     and |g - f| there.
@@ -153,17 +152,18 @@ def find_inflection(m) -> InflectionResult:
             hi = lam
         if diff == 0.0 or hi - lo <= 1e-12:
             break
-        step = math.nan  # the midpoint, unless the slope is finite and positive
-        gx = (1.0 - x) * x  # 0 where x underflows, next to 1 for m past ~1e200
-        if gx > 0.0:
-            slope = (-_gp(lam, m, _MATH, w, x) / gx
+        step = math.nan  # a midpoint, unless the slope is finite and positive
+        if 0.0 < x < 1.0:  # x underflows to 0 near lambda = 1 for m past ~1e200
+            slope = (_g_first(lam, m, _MATH, w, x)
                      + (m - 2.0 * lam) / math.sqrt((m - 1.0) * lam * (m - lam)))
             if 0.0 < slope < math.inf:
                 step = lam - diff / slope
         if step == lam:  # converged: the step does not move
             break
         if not lo < step < hi:  # NaN too
-            step = 0.5 * (lo + hi)
+            # geometric while the bracket spans more than a factor 4: from (1, m)
+            # down to lambda0 << m in about log2(log m) steps, not log2(m)
+            step = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
             if step == lo or step == hi:  # adjacent doubles
                 break
         lam = step
@@ -180,25 +180,22 @@ def _lambda_grid(m: int, n: int) -> np.ndarray:
     return np.linspace(*_lambda_ends(m), n)
 
 
-# certify_proof's grid arrays live in one (18, n) workspace per thread: 12 rows for
-# the arrays of _grid_values, the ramp 0, 1, ..., n-1 and 5 scratch rows.  A
-# workspace freed after each call (1.44 MB at n = 10**4) is trimmed from the heap by
-# glibc, and the next call faults every page back in; kept, it costs no fault.
-# Larger grids get one for the call.  Rows 0-4 hold the arrays that must be
-# monotone, side by side, and rows 13-17 the scratch, so that one np.subtract
-# differences all five.  The delta grid (row 10) and the ramp (row 12) do not
-# depend on m and are written once, with the workspace.
-_WS_ROWS = 18
+# certify_proof's grid arrays live in one (13, n) workspace per thread: 9 rows for
+# the arrays of _grid_values, the ramp 0, 1, ..., n-1 and 3 scratch rows (1.04 MB at
+# n = 10**4).  The same arrays allocated per call are trimmed from the heap by glibc
+# when freed, and the next call faults their pages back in (80-100 minor faults per
+# call); the workspace is allocated once.  Larger grids get one for the call.  The
+# delta grid (row 5) and the ramp (row 9) do not depend on m and are written once,
+# with the workspace.
+_WS_ROWS = 13
 _WS_KEEP_MAX = 100_000
-_MONOTONE = 5  # gamma, R, g on the g-grid, A, B
-_DELTAS = 10
-_RAMP = 12
-_SCRATCH = 13
+_DELTAS = 5
+_RAMP = 9
 _ws_local = threading.local()
 
 
 def _workspace(n: int) -> np.ndarray:
-    """This thread's (18, n) workspace, kept between calls when n <= 10**5."""
+    """This thread's (13, n) workspace, kept between calls when n <= 10**5."""
     ws = getattr(_ws_local, "ws", None)
     if ws is None or ws.shape[1] != n:
         ws = np.empty((_WS_ROWS, n))
@@ -217,82 +214,51 @@ def _linspace(ramp, start, stop, out):
     out[-1] = stop
 
 
-def _lambda_wx(lam, m, lm1, mml, w, x):
-    # core._wx into rows w and x, keeping lm1 = L - 1 and mml = m - L:
-    # w = sqrt((m-1)L) + sqrt(m-L), x = ((L-1)/w)^2
-    np.subtract(lam, 1.0, out=lm1)
-    np.subtract(m, lam, out=mml)
-    np.multiply(lam, m - 1.0, out=w)
-    np.sqrt(w, out=w)
-    np.sqrt(mml, out=x)
-    np.add(w, x, out=w)
-    np.divide(lm1, w, out=x)
-    np.square(x, out=x)
-
-
-def _lambda_g(log_m1, lm1, w, x, g):
-    # core._g into g, from the rows of _lambda_wx; overwrites lm1 and w
-    np.log(lm1, out=g)
-    np.log(w, out=w)
-    np.subtract(g, w, out=g)
-    np.multiply(g, 2.0, out=g)
-    np.subtract(g, log_m1, out=g)
-    np.negative(x, out=lm1)
-    np.log1p(lm1, out=lm1)
-    np.subtract(g, lm1, out=g)
-
-
 def _grid_values(m: int, ws: np.ndarray) -> dict:
     """The arrays ``certify_proof`` checks, each grid evaluated once into ``ws``.
 
-    ``ws`` is a ``_workspace(n)``.  The arrays are views of its first 12 rows,
-    which the same thread's next call overwrites; the last 5 rows are scratch.
-    The first 5 rows are gamma, R, g on the g-grid, A and B: those that exist
-    for m (2 at m = 2, 3 for m < 5) are a block of leading rows.
-    Each array equals the public function on the same grid, bit for bit: the
-    ufuncs are those of the ``core`` kernels, in the same order, with ``out=``.
+    ``ws`` is a ``_workspace(n)``.  The arrays are views of its first 9 rows,
+    which the same thread's next call overwrites; the last 3 rows are scratch.
+    On the lambda grid they are gamma', g, x = 1 - gamma and R''; on the delta
+    grid (m >= 5 only) A, B and F.  Each array equals the public function on the
+    same grid, bit for bit (x through gamma = 1 - x): the ufuncs are those of
+    the ``core`` kernels, in the same order, with ``out=``.
     """
     # the grids lie inside the domain by construction: no checks needed
-    (gamma, r, g_ggrid, a, b, grid, g, rpp, f, ggrid, deltas, big_f, ramp,
-     t0, t1, t2, t3, t4) = ws
-    log_m1 = np.log(m - 1.0)
+    grid, gp, g, x, rpp, deltas, a, b, big_f, ramp, t0, t1, t2 = ws
     _linspace(ramp, *_lambda_ends(m), grid)
-    _lambda_wx(grid, m, t0, t2, t3, t1)  # x in t1
-    np.multiply(grid, t2, out=t2)  # L(m-L), for R'' and f
-    _lambda_g(log_m1, t0, t3, t1, g)
-    np.subtract(1.0, t1, out=gamma)
-    np.divide(t2, m - 1.0, out=f)  # core._f
-    np.sqrt(f, out=f)
-    np.multiply(f, -2.0, out=f)
-    np.power(t2, -1.5, out=rpp)  # core._rpp: gamma'' g - 1/(L(m-L))
+    # core._wx: L - 1 in t0, m - L in t1, w = sqrt((m-1)L) + sqrt(m-L) in t2, and
+    # x = ((L-1)/w)^2
+    np.subtract(grid, 1.0, out=t0)
+    np.subtract(m, grid, out=t1)
+    np.multiply(grid, m - 1.0, out=t2)
+    np.sqrt(t2, out=t2)
+    np.sqrt(t1, out=x)
+    np.add(t2, x, out=t2)
+    np.divide(t0, t2, out=x)
+    np.square(x, out=x)
+    np.multiply(grid, t1, out=t1)  # L(m-L), for gamma' and R''
+    np.subtract(1.0, x, out=gp)  # core._gp: -sqrt(1-x) (L-1) / (w sqrt(L(m-L)))
+    np.sqrt(gp, out=gp)
+    np.negative(gp, out=gp)
+    np.multiply(gp, t0, out=gp)
+    np.sqrt(t1, out=g)  # the denominator, in g's row before g
+    np.multiply(t2, g, out=g)
+    np.divide(gp, g, out=gp)
+    np.log(t0, out=g)  # core._g: 2 (log(L-1) - log w) - log(m-1) - log1p(-x)
+    np.log(t2, out=t2)
+    np.subtract(g, t2, out=g)
+    np.multiply(g, 2.0, out=g)
+    np.subtract(g, np.log(m - 1.0), out=g)
+    np.negative(x, out=t0)
+    np.log1p(t0, out=t0)
+    np.subtract(g, t0, out=g)
+    np.power(t1, -1.5, out=rpp)  # core._rpp: gamma'' g - 1/(L(m-L))
     np.multiply(rpp, -0.5 * np.sqrt(m - 1.0), out=rpp)
     np.multiply(rpp, g, out=rpp)
-    np.divide(1.0, t2, out=t2)
-    np.subtract(rpp, t2, out=rpp)
-    # core._r, with core._h2 on p = gamma: small = min(p, 1-p), the mask small > 0
-    # (in the bytes of t4) and -small
-    small, mask = t0, t4.view(bool)[:grid.size]
-    np.subtract(1.0, gamma, out=small)
-    np.minimum(gamma, small, out=small)
-    np.greater(small, 0.0, out=mask)
-    np.negative(small, out=t2)
-    t3.fill(1.0)
-    np.copyto(t3, small, where=mask)
-    np.log(t3, out=t3)
-    np.multiply(t2, t3, out=t3)
-    np.log1p(t2, out=t2)
-    np.subtract(1.0, small, out=small)
-    np.multiply(small, t2, out=small)
-    np.subtract(t3, small, out=r)
-    np.multiply(t1, log_m1, out=t1)
-    np.add(r, t1, out=r)
-    np.multiply(r, LOG2E, out=r)  # convert_base(..., "two")
-    vals = {"grid": grid, "gamma": gamma, "r": r, "g": g, "r_second": rpp, "f": f}
-    if m >= 3:
-        _linspace(ramp, 1.0 + TOL.grid_left_offset, float(m - 1), ggrid)
-        _lambda_wx(ggrid, m, t0, t2, t3, t1)
-        _lambda_g(log_m1, t0, t3, t1, g_ggrid)
-        vals.update(ggrid=ggrid, g_ggrid=g_ggrid)
+    np.divide(1.0, t1, out=t1)
+    np.subtract(rpp, t1, out=rpp)
+    vals = {"grid": grid, "gamma_first": gp, "g": g, "x": x, "r_second": rpp}
     if m >= 5:
         np.add(deltas, m - 1.0, out=t0)  # (m-1+delta)(1-delta), for A and B
         np.subtract(1.0, deltas, out=t1)
@@ -337,29 +303,27 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
     rep = CertificateReport(m)
     ws = _workspace(grid_size)
     vals = _grid_values(m, ws)
-    # the steps of the monotone rows that exist for m, in one pass into the scratch
-    # rows, and their extremes before f_convex and the sign scan reuse those rows;
-    # a NaN makes an extreme NaN, which fails
-    k = 2 if m == 2 else 3 if m < 5 else _MONOTONE
-    steps = np.subtract(ws[:k, 1:], ws[:k, :-1], out=ws[_SCRATCH:_SCRATCH + k, :-1])
-    low, high = steps.min(axis=1), steps[0].max()
-    d1, d2 = ws[-2:]
+    grid, gp, x = vals["grid"], vals["gamma_first"], vals["x"]
+    # each monotone claim is the sign of its closed-form derivative at the grid's
+    # worst point; s and d are scratch rows, and a NaN makes an extreme NaN, which fails
+    s, d = ws[-2:]
 
     def identity(name, claim, err):
         rep.add(name, claim, err, 1e-12, err <= 1e-12)
 
-    def increasing(name, claim, row):
-        rep.add(name, claim, low[row], 0.0, low[row] > 0.0)
+    def increasing(name, claim, values):
+        low = np.min(np.subtract(values[1:], values[:-1], out=s[:-1]))
+        rep.add(name, claim, low, 0.0, low > 0.0)
 
     identity("gamma_at_one", "gamma(1) = 1", abs(gamma_value(1.0, m) - 1.0))
     identity("gamma_at_m", "gamma(m) = 1/m", abs(gamma_value(float(m), m) - 1.0 / m))
     identity("r_at_one", "R(1) = 0", abs(r_value(1.0, m)))
     identity("r_at_m", "R(m) = log2(m)", abs(r_value(float(m), m) - np.log2(m)))
 
-    rep.add("gamma_nonincreasing", "gamma is nonincreasing on [1, m]",
-            high, 0.0, high <= 0.0)
-    rep.add("r_nondecreasing", "R is nondecreasing on [1, m]",
-            low[1], 0.0, low[1] >= 0.0)
+    high = gp.max()
+    rep.add("gamma_nonincreasing", "gamma' <= 0 on [1, m]", high, 0.0, high <= 0.0)
+    low = np.min(np.multiply(gp, vals["g"], out=s))
+    rep.add("r_nondecreasing", "R' = gamma' g >= 0 on [1, m]", low, 0.0, low >= 0.0)
 
     # R'' is positive just right of 1 (the divergence there is logarithmic,
     # so "large" cannot mean more than a few tens in double precision).
@@ -369,12 +333,19 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
 
     identity("f_endpoints", "f(1) = f(m-1) = -2",
              max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0)))
-    curv = np.min(_diff(_diff(vals["f"], d1), d2))
-    rep.add("f_convex", "second differences of f are nonnegative",
-            curv, -1e-10, curv >= -1e-10)
+    # f'' is least where L(m-L) is largest
+    top = grid[np.argmax(np.multiply(grid, np.subtract(m, grid, out=s), out=s))]
+    curv = _f_second(float(top), m, _MATH)
+    rep.add("f_convex", "f'' = m^2 (L(m-L))^(-3/2) / (2 sqrt(m-1)) > 0",
+            curv, 0.0, curv > 0.0)
 
     if m >= 3:
-        increasing("g_increasing", "g strictly increasing on (1, m-1]", 2)
+        # g' = -gamma'/(gamma x) of core._g_first, at its least: min(-q) = -max(q)
+        np.subtract(1.0, x, out=s)
+        np.multiply(s, x, out=s)
+        low = -np.max(np.divide(gp, s, out=s))
+        rep.add("g_increasing", "g' = -gamma'/(gamma (1-gamma)) > 0 on (1, m)",
+                low, 0.0, low > 0.0)
         log_ratio = np.log((m - 2.0) / (2.0 * (m - 1.0)))
         gm1 = g_value(float(m - 1), m)
         identity("g_at_m_minus_one_closed_form", "g(m-1) = 2 log((m-2)/(2(m-1)))",
@@ -391,7 +362,7 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
                     rpp_m1, 0.0, rpp_m1 < 0.0)
 
     expected = 0 if m == 2 else 1
-    count = _sign_changes(vals["r_second"], d1, d2)
+    count = _sign_changes(vals["r_second"], s, d)
     rep.add("unique_inflection",
             f"exactly {expected} sign change(s) of R'' on (1, m)",
             count, expected, count == expected)
@@ -414,8 +385,8 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
         f_low = np.min(vals["big_f"])
         rep.add("big_f_above_minus_one", "F(delta) > -1 on [0, 1)",
                 f_low, -1.0, f_low > -1.0)
-        increasing("a_increasing", "A(delta) strictly increasing on [0, 1)", 3)
-        increasing("b_increasing", "B(delta) strictly increasing on [0, 1)", 4)
+        increasing("a_increasing", "A(delta) strictly increasing on [0, 1)", vals["a"])
+        increasing("b_increasing", "B(delta) strictly increasing on [0, 1)", vals["b"])
 
     return rep
 

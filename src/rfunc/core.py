@@ -211,6 +211,12 @@ def _g(lam, m, xp, w, x):
     return 2.0 * (xp.log(lam - 1.0) - xp.log(w)) - xp.log(m - 1.0) - xp.log1p(-x)
 
 
+def _g_first(lam, m, xp, w, x):
+    # g' = -gamma'/(gamma x), from g = log x - log(m-1) - log gamma and x' = -gamma';
+    # positive wherever gamma' < 0.  The caller keeps 0 < x < 1
+    return -_gp(lam, m, xp, w, x) / ((1.0 - x) * x)
+
+
 def _rpp(lam, m, xp, g):
     # R'' = gamma'' g - 1/(L(m-L)), from a g already computed
     return _gpp(lam, m, xp) * g - 1.0 / (lam * (m - lam))
@@ -218,6 +224,12 @@ def _rpp(lam, m, xp, g):
 
 def _f(lam, m, xp):
     return -2.0 * xp.sqrt(lam * (m - lam) / (m - 1.0))
+
+
+def _f_second(lam, m, xp):
+    # f'' = m^2 (L(m-L))^(-3/2) / (2 sqrt(m-1)) > 0: with u = L(m-L), f'' is
+    # (u'^2/2 - u u'') u^(-3/2) / sqrt(m-1), and (m-2L)^2/2 + 2L(m-L) = m^2/2
+    return 0.5 * m * m / xp.sqrt(m - 1.0) * (lam * (m - lam)) ** -1.5
 
 
 def _r(x, m, xp):

@@ -28,7 +28,8 @@ from rfunc import (
     r_value,
 )
 from rfunc.analysis import _tangent_natural
-from rfunc.core import _MATH, _args, _g, _gp, _r, _rpp, _wx, check_delta
+from rfunc.core import (_MATH, _args, _f_second, _g, _g_first, _gp, _r, _rpp, _wx,
+                        check_delta)
 
 
 class TestBinaryEntropy:
@@ -257,6 +258,25 @@ class TestGAndF:
     def test_f_convex(self, m):
         vals = f_value(np.linspace(1.0, m, 3000), m)
         assert np.all(np.diff(vals, 2) >= -1e-10)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 64, 10**3, 10**6])
+    def test_closed_form_derivatives_match_mpmath(self, m):
+        # g' = -gamma'/(gamma x) and f'' = m^2 (L(m-L))^(-3/2) / (2 sqrt(m-1)), whose
+        # signs certify_proof checks and whose g' is part of find_inflection's
+        # Newton slope, against mpmath's derivatives of the 50-digit g and f, on
+        # both kernel namespaces
+        mo = pytest.importorskip("mp_oracle")
+        errors = []
+        for t in (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-4):
+            lam = 1.0 + t * (m - 1.0)
+            with mo.mp.workdps(mo.DPS):
+                g1 = mo.mp.diff(lambda v: mo.at(v, m).g_value, lam)
+                f2 = mo.mp.diff(lambda v: mo.at(v, m).f_value, lam, 2)
+            for xp, at in ((_MATH, lam), (np, np.array([lam]))):
+                got = np.squeeze([_g_first(at, m, xp, *_wx(at, m, xp)), _f_second(at, m, xp)])
+                errors += [float(abs(got[0] - g1) / g1), float(abs(got[1] - f2) / f2)]
+        worst = float(np.max(errors))  # nan if a kernel gave nan
+        assert worst <= 1e-12, f"worst relative error {worst:.3e}"
 
 
 class TestRightIntervalFunctions:
