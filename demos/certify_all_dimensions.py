@@ -3,8 +3,9 @@
 Every inequality the convexity analysis rests on (endpoint identities,
 monotonicity and convexity of the auxiliary functions g and f, uniqueness of
 the inflection point, and the F(delta) > -1 bound on the right interval) is
-re-checked on dense grids.  The full JSON report for one dimension is shown
-at the end.  The script exits 1 if any dimension fails.
+re-checked as a closed form at its analytic worst point.  The full JSON report
+for one dimension is shown at the end.  The script exits 1 if any dimension
+fails.
 """
 
 import sys

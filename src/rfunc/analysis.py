@@ -4,18 +4,17 @@ The R-curve is convex on [1, lambda0] and concave on [lambda0, m], so its
 convex envelope coincides with R up to a tangent abscissa lambda* and is the
 straight line through (m, log m) afterwards.  ``certify_proof`` re-checks
 every inequality that this structure rests on and returns a machine-readable
-report.  The endpoint values are checked against their closed forms.  Each
-monotone claim (gamma decreasing, R and g increasing, f convex) is checked as
-the sign of its closed-form derivative, at the worst point of a dense lambda
-grid.  The sign changes of R'', and the delta route's A, B and F, are sampled
-on dense grids.
+report.  The endpoint values are checked against their closed forms.  Every
+other claim (gamma decreasing, R and g increasing, f convex, one sign change
+of R'', and the delta route's A, B and F) is checked by a closed form taken at
+its analytic worst point; the lemma behind each point is in README.  No claim
+is sampled.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +23,15 @@ from .core import _MATH, _args, _f, _f_second, _g, _g_first, _r, _wx
 from .core import (
     TOL,
     DomainError,
+    a_value,
     big_f_value,
     check_dimension,
     convert_base,
     f_value,
     g_value,
+    gamma_first,
     gamma_value,
+    r_first,
     r_second,
     r_value,
 )
@@ -109,18 +111,6 @@ class CertificateReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _sign_changes(values, s, d) -> int:
-    # sign changes along values, exact zeros skipped; s and d are workspace rows,
-    # whose bytes hold the masks values > 0 and values < 0
-    pos, neg = s.view(bool)[:values.size], d.view(bool)[:values.size]
-    np.greater(values, 0.0, out=pos)
-    np.less(values, 0.0, out=neg)
-    if np.count_nonzero(pos) + np.count_nonzero(neg) < values.size:  # a zero or NaN
-        np.sign(values, out=s)
-        return int(np.count_nonzero(np.diff(s[s != 0])))  # NaN != 0: a NaN counts
-    return int(np.count_nonzero(np.not_equal(pos[1:], pos[:-1], out=neg[:-1])))
-
-
 def find_inflection(m) -> InflectionResult:
     """Locate the unique zero lambda0 of R'' in (1, m); ``None`` at m = 2, where g < f.
 
@@ -171,114 +161,16 @@ def find_inflection(m) -> InflectionResult:
 
 
 def _lambda_ends(m: int) -> tuple[float, float]:
-    """The ends of the lambda grid of the certifier and of ``rfunc table``, inside (1, m)."""
+    """The ends of ``rfunc table``'s lambda grid in (1, m); the certifier reads gamma', R' there."""
     return 1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset
 
 
 def _lambda_grid(m: int, n: int) -> np.ndarray:
-    """The n-point lambda grid of ``rfunc table``; the certifier writes the same one in place."""
+    """The n-point lambda grid of ``rfunc table``."""
     return np.linspace(*_lambda_ends(m), n)
 
 
-# certify_proof's grid arrays live in one (13, n) workspace per thread: 9 rows for
-# the arrays of _grid_values, the ramp 0, 1, ..., n-1 and 3 scratch rows (1.04 MB at
-# n = 10**4).  The same arrays allocated per call are trimmed from the heap by glibc
-# when freed, and the next call faults their pages back in (80-100 minor faults per
-# call); the workspace is allocated once.  Larger grids get one for the call.  The
-# delta grid (row 5) and the ramp (row 9) do not depend on m and are written once,
-# with the workspace.
-_WS_ROWS = 13
-_WS_KEEP_MAX = 100_000
-_DELTAS = 5
-_RAMP = 9
-_ws_local = threading.local()
-
-
-def _workspace(n: int) -> np.ndarray:
-    """This thread's (13, n) workspace, kept between calls when n <= 10**5."""
-    ws = getattr(_ws_local, "ws", None)
-    if ws is None or ws.shape[1] != n:
-        ws = np.empty((_WS_ROWS, n))
-        ws[_DELTAS] = np.linspace(0.0, 1.0 - 1e-6, n)
-        ws[_RAMP] = np.arange(n, dtype=float)
-        if n <= _WS_KEEP_MAX:
-            _ws_local.ws = ws
-    return ws
-
-
-def _linspace(ramp, start, stop, out):
-    # np.linspace(start, stop, n) into out, from ramp = arange(n): numpy's operations
-    # (ramp * step + start, then the exact stop), without its per-call set-up
-    np.multiply(ramp, (stop - start) / (ramp.size - 1), out=out)
-    np.add(out, start, out=out)
-    out[-1] = stop
-
-
-def _grid_values(m: int, ws: np.ndarray) -> dict:
-    """The arrays ``certify_proof`` checks, each grid evaluated once into ``ws``.
-
-    ``ws`` is a ``_workspace(n)``.  The arrays are views of its first 9 rows,
-    which the same thread's next call overwrites; the last 3 rows are scratch.
-    On the lambda grid they are gamma', g, x = 1 - gamma and R''; on the delta
-    grid (m >= 5 only) A, B and F.  Each array equals the public function on the
-    same grid, bit for bit (x through gamma = 1 - x): the ufuncs are those of
-    the ``core`` kernels, in the same order, with ``out=``.
-    """
-    # the grids lie inside the domain by construction: no checks needed
-    grid, gp, g, x, rpp, deltas, a, b, big_f, ramp, t0, t1, t2 = ws
-    _linspace(ramp, *_lambda_ends(m), grid)
-    # core._wx: L - 1 in t0, m - L in t1, w = sqrt((m-1)L) + sqrt(m-L) in t2, and
-    # x = ((L-1)/w)^2
-    np.subtract(grid, 1.0, out=t0)
-    np.subtract(m, grid, out=t1)
-    np.multiply(grid, m - 1.0, out=t2)
-    np.sqrt(t2, out=t2)
-    np.sqrt(t1, out=x)
-    np.add(t2, x, out=t2)
-    np.divide(t0, t2, out=x)
-    np.square(x, out=x)
-    np.multiply(grid, t1, out=t1)  # L(m-L), for gamma' and R''
-    np.subtract(1.0, x, out=gp)  # core._gp: -sqrt(1-x) (L-1) / (w sqrt(L(m-L)))
-    np.sqrt(gp, out=gp)
-    np.negative(gp, out=gp)
-    np.multiply(gp, t0, out=gp)
-    np.sqrt(t1, out=g)  # the denominator, in g's row before g
-    np.multiply(t2, g, out=g)
-    np.divide(gp, g, out=gp)
-    np.log(t0, out=g)  # core._g: 2 (log(L-1) - log w) - log(m-1) - log1p(-x)
-    np.log(t2, out=t2)
-    np.subtract(g, t2, out=g)
-    np.multiply(g, 2.0, out=g)
-    np.subtract(g, np.log(m - 1.0), out=g)
-    np.negative(x, out=t0)
-    np.log1p(t0, out=t0)
-    np.subtract(g, t0, out=g)
-    np.power(t1, -1.5, out=rpp)  # core._rpp: gamma'' g - 1/(L(m-L))
-    np.multiply(rpp, -0.5 * np.sqrt(m - 1.0), out=rpp)
-    np.multiply(rpp, g, out=rpp)
-    np.divide(1.0, t1, out=t1)
-    np.subtract(rpp, t1, out=rpp)
-    vals = {"grid": grid, "gamma_first": gp, "g": g, "x": x, "r_second": rpp}
-    if m >= 5:
-        np.add(deltas, m - 1.0, out=t0)  # (m-1+delta)(1-delta), for A and B
-        np.subtract(1.0, deltas, out=t1)
-        np.multiply(t0, t1, out=t0)
-        np.divide(m - 1.0, t0, out=b)  # core._b
-        np.sqrt(b, out=b)
-        np.sqrt(t0, out=t0)  # core._a
-        np.add(t0, np.sqrt(m - 1.0), out=t0)
-        np.add(deltas, m - 2.0, out=a)
-        np.divide(a, t0, out=a)
-        np.square(a, out=a)
-        np.divide(a, m - 1.0, out=a)
-        np.multiply(b, 0.5, out=big_f)  # core._big_f; A > 0 for m >= 5
-        np.log(a, out=t0)
-        np.multiply(big_f, t0, out=big_f)
-        vals.update(deltas=deltas, a=a, b=b, big_f=big_f)
-    return vals
-
-
-# Past 2**40 the grids' right end m - TOL.grid_right_offset rounds to m, where R'' is singular
+# Past 2**40 the lambda grid's right end m - TOL.grid_right_offset rounds to m, where R' is singular
 _CERTIFY_M_MAX = 2**40
 
 
@@ -289,40 +181,36 @@ def _certify_m(m) -> int:
     return m
 
 
-def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
-    """Run every endpoint identity and grid inequality for one m <= 2**40 = 1,099,511,627,776.
+def certify_proof(m) -> CertificateReport:
+    """Run every endpoint identity and closed-form check for one m <= 2**40 = 1,099,511,627,776.
 
-    For m >= 5 the report ends with the delta route, which rules out a zero
-    of R'' on (m-1, m): F(delta) = (1/2) B log A at lambda = m-1+delta stays
-    above -1 on [0, 1).  F is not monotone (it tends to -1 from above as
-    delta -> 1), so the grid bound on F is the check that excludes the zero.
+    Each inequality is checked at its analytic worst point (README, "The
+    lemma").  Uniqueness of the inflection rests on (g - f)'' < 0 on (1, m):
+    R'' = gamma'' (g - f) with gamma'' < 0, and g - f runs from -inf at 1 to 0
+    at m.  For m >= 5 the report ends with the delta route, which rules out a
+    zero of R'' on (m-1, m): F(delta) = (1/2) B log A at lambda = m-1+delta
+    stays above -1 on [0, 1).  F is not monotone (it tends to -1 from above
+    as delta -> 1), but F + 1 = (1/2) B (g - f), and the concavity of g - f
+    gives F(delta) + 1 >= (1 - delta) B(delta) (F(0) + 1): F > -1 exactly
+    when F(0) > -1.
     """
     m = _certify_m(m)
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
     rep = CertificateReport(m)
-    ws = _workspace(grid_size)
-    vals = _grid_values(m, ws)
-    grid, gp, x = vals["grid"], vals["gamma_first"], vals["x"]
-    # each monotone claim is the sign of its closed-form derivative at the grid's
-    # worst point; s and d are scratch rows, and a NaN makes an extreme NaN, which fails
-    s, d = ws[-2:]
 
     def identity(name, claim, err):
         rep.add(name, claim, err, 1e-12, err <= 1e-12)
-
-    def increasing(name, claim, values):
-        low = np.min(np.subtract(values[1:], values[:-1], out=s[:-1]))
-        rep.add(name, claim, low, 0.0, low > 0.0)
 
     identity("gamma_at_one", "gamma(1) = 1", abs(gamma_value(1.0, m) - 1.0))
     identity("gamma_at_m", "gamma(m) = 1/m", abs(gamma_value(float(m), m) - 1.0 / m))
     identity("r_at_one", "R(1) = 0", abs(r_value(1.0, m)))
     identity("r_at_m", "R(m) = log2(m)", abs(r_value(float(m), m) - np.log2(m)))
 
-    high = gp.max()
+    # gamma'' < 0, so gamma' is largest at the left end; R' rises, then falls (R''
+    # changes sign once at most), so it is least at an end.  A NaN fails both
+    ends = np.array(_lambda_ends(m))
+    high = gamma_first(ends, m)[0]
     rep.add("gamma_nonincreasing", "gamma' <= 0 on [1, m]", high, 0.0, high <= 0.0)
-    low = np.min(np.multiply(gp, vals["g"], out=s))
+    low = r_first(ends, m, base="natural").min()
     rep.add("r_nondecreasing", "R' = gamma' g >= 0 on [1, m]", low, 0.0, low >= 0.0)
 
     # R'' is positive just right of 1 (the divergence there is logarithmic,
@@ -333,18 +221,15 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
 
     identity("f_endpoints", "f(1) = f(m-1) = -2",
              max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0)))
-    # f'' is least where L(m-L) is largest
-    top = grid[np.argmax(np.multiply(grid, np.subtract(m, grid, out=s), out=s))]
-    curv = _f_second(float(top), m, _MATH)
+    # f'' is least where L(m-L) is largest, at m/2: 4/(m sqrt(m-1))
+    curv = _f_second(0.5 * m, m, _MATH)
     rep.add("f_convex", "f'' = m^2 (L(m-L))^(-3/2) / (2 sqrt(m-1)) > 0",
             curv, 0.0, curv > 0.0)
 
     if m >= 3:
-        # g' = -gamma'/(gamma x) of core._g_first, at its least: min(-q) = -max(q)
-        np.subtract(1.0, x, out=s)
-        np.multiply(s, x, out=s)
-        low = -np.max(np.divide(gp, s, out=s))
-        rep.add("g_increasing", "g' = -gamma'/(gamma (1-gamma)) > 0 on (1, m)",
+        lam_g = 0.5 * (m + math.sqrt(m))  # g' is least there: 4/(m-1)
+        low = _g_first(lam_g, m, _MATH, *_wx(lam_g, m, _MATH))
+        rep.add("g_increasing", "g' >= g'((m + sqrt(m))/2) = 4/(m-1) > 0 on (1, m)",
                 low, 0.0, low > 0.0)
         log_ratio = np.log((m - 2.0) / (2.0 * (m - 1.0)))
         gm1 = g_value(float(m - 1), m)
@@ -361,11 +246,14 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
             rep.add("r_second_negative_at_m_minus_one", "R''(m-1) < 0",
                     rpp_m1, 0.0, rpp_m1 < 0.0)
 
+    # the supremum of (g - f)'' on (1, m); with g - f -> -inf at 1 and -> 0 at m
+    # (slope -(m-2)/(m-1) there), concavity leaves one root for m >= 3, none at 2
     expected = 0 if m == 2 else 1
-    count = _sign_changes(vals["r_second"], s, d)
+    top = -4.0 / (m * math.sqrt(m - 1.0))
     rep.add("unique_inflection",
-            f"exactly {expected} sign change(s) of R'' on (1, m)",
-            count, expected, count == expected)
+            f"exactly {expected} sign change(s) of R'' on (1, m): "
+            "(g - f)'' <= -4/(m sqrt(m-1)) < 0",
+            top, 0.0, top < 0.0)
 
     if m >= 5:
         res = find_inflection(m)
@@ -382,11 +270,17 @@ def certify_proof(m, grid_size: int = 10_000) -> CertificateReport:
         log_3_8 = np.log(3.0 / 8.0)
         rep.add("big_f_at_zero_lower_bound", "F(0) >= log(3/8) > -1",
                 f0, log_3_8, f0 >= log_3_8 - 1e-12)
-        f_low = np.min(vals["big_f"])
-        rep.add("big_f_above_minus_one", "F(delta) > -1 on [0, 1)",
-                f_low, -1.0, f_low > -1.0)
-        increasing("a_increasing", "A(delta) strictly increasing on [0, 1)", vals["a"])
-        increasing("b_increasing", "B(delta) strictly increasing on [0, 1)", vals["b"])
+        rep.add("big_f_above_minus_one",
+                "F(delta) > -1 on [0, 1): F(delta) + 1 >= (1-delta) B(delta) (F(0) + 1)",
+                f0, -1.0, f0 > -1.0)
+        # A' = A g' and B'/B = (m-2+2 delta)/(2(m-1+delta)(1-delta)) increase on
+        # [0, 1) (g is convex right of (m + sqrt(m))/2 < m-1), so both are least at 0
+        slope_a = a_value(0.0, m) * _g_first(m - 1.0, m, _MATH, *_wx(m - 1.0, m, _MATH))
+        rep.add("a_increasing", "A' = A g' >= A'(0) > 0 on [0, 1)",
+                slope_a, 0.0, slope_a > 0.0)
+        slope_b = (m - 2.0) / (2.0 * (m - 1.0))
+        rep.add("b_increasing", "B' >= B'(0) = (m-2)/(2(m-1)) > 0 on [0, 1)",
+                slope_b, 0.0, slope_b > 0.0)
 
     return rep
 

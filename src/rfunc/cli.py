@@ -68,7 +68,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    reports = [certify_proof(m, args.grid) for m in _parse_m_range(args.m)]
+    reports = [certify_proof(m) for m in _parse_m_range(args.m)]
     docs = [r.to_dict() for r in reports]
     print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
     return EXIT_OK if all(r.overall for r in reports) else EXIT_CERTIFY_FAIL
@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="run the proof certifier")
     p_cert.add_argument("--m", required=True,
                         help=f"dimension or inclusive range a..b; m <= {_CERTIFY_M_MAX}")
-    p_cert.add_argument("--grid", type=int, default=10_000)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_table = sub.add_parser("table", help="emit a CSV table of R, R'' and the envelope")

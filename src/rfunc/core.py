@@ -196,10 +196,16 @@ def _wx(lam, m, xp):
     return w, ((lam - 1.0) / w) ** 2
 
 
+def _sqrt_gamma(lam, m, xp):
+    # sqrt(gamma) as a sum of two roots, which does not cancel: sqrt(1 - x) turns
+    # x's absolute error u into u/gamma near lambda = m, where gamma -> 1/m
+    return (xp.sqrt(lam) + xp.sqrt((m - 1.0) * (m - lam))) / m
+
+
 def _gp(lam, m, xp, w, x):
     # (1/sqrt(L) - sqrt((m-1)/(m-L))) = (v - u)/sqrt(L(m-L)) with
     # v - u = -m(L-1)/w; combined with the sqrt(gamma) prefactor.
-    return -xp.sqrt(1.0 - x) * (lam - 1.0) / (w * xp.sqrt(lam * (m - lam)))
+    return -_sqrt_gamma(lam, m, xp) * (lam - 1.0) / (w * xp.sqrt(lam * (m - lam)))
 
 
 def _gpp(lam, m, xp):
@@ -213,8 +219,10 @@ def _g(lam, m, xp, w, x):
 
 def _g_first(lam, m, xp, w, x):
     # g' = -gamma'/(gamma x), from g = log x - log(m-1) - log gamma and x' = -gamma';
-    # positive wherever gamma' < 0.  The caller keeps 0 < x < 1
-    return -_gp(lam, m, xp, w, x) / ((1.0 - x) * x)
+    # positive wherever gamma' < 0.  gamma from _sqrt_gamma, not 1 - x.  The
+    # caller keeps 0 < x < 1
+    s = _sqrt_gamma(lam, m, xp)
+    return -_gp(lam, m, xp, w, x) / (s * s * x)
 
 
 def _rpp(lam, m, xp, g):

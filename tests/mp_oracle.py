@@ -14,13 +14,15 @@ DPS = 50
 def at(lam, m):
     """rfunc's functions of lambda at (lam, m), as attributes of the same names.
 
-    Units are rfunc's: R, R' and co(R) in bits, the rest in nats.  ``a_value``
-    is A(delta) at delta = lam - (m - 1).  1 - gamma is x = ((lam-1)/w)^2 with
-    w = sqrt((m-1) lam) + sqrt(m - lam), an exact identity that keeps its
-    digits near lam = 1 at large m.  A function singular at lam is None.  The
-    work runs at DPS digits, or at the caller's precision if higher (mp.diff
-    raises it).  lam may be complex, as mp.findroot makes it past lam = m:
-    the singular points are found by equality, and co(R) reads the real part.
+    Units are rfunc's: R, R' and co(R) in bits, the rest in nats.  ``a_value``,
+    ``b_value`` and ``big_f_value`` are A, B and F of the delta route at
+    delta = lam - (m - 1): B = sqrt((m-1)/(lam (m - lam))) and F = (1/2) B log A.
+    1 - gamma is x = ((lam-1)/w)^2 with w = sqrt((m-1) lam) + sqrt(m - lam), an
+    exact identity that keeps its digits near lam = 1 at large m.  A function
+    singular at lam is None.  The work runs at DPS digits, or at the caller's
+    precision if higher (mp.diff raises it).  lam may be complex, as
+    mp.findroot makes it past lam = m: the singular points are found by
+    equality, and co(R) reads the real part.
     """
     with mp.workdps(max(mp.dps, DPS)):
         lam, m = mp.mpmathify(lam), mp.mpf(m)
@@ -29,8 +31,10 @@ def at(lam, m):
         a = x / ((m - 1) * gam)
         g = mp.log(a) if x else None   # dR/dgamma
         r = (-gam * mp.log(gam) + (x * mp.log((m - 1) / x) if x else 0)) / mp.ln2
-        g1 = g2 = r1 = r2 = None
+        g1 = g2 = r1 = r2 = b = big_f = None
         if lam != m:
+            b = mp.sqrt((m - 1) / (lam * (m - lam)))
+            big_f = b * g / 2 if x else None
             # gamma = S^2 / m^2 with S = sqrt(lam) + sqrt((m-1)(m-lam)) = m sqrt(gamma)
             g1 = mp.sqrt(gam) / m * (1 / mp.sqrt(lam) - mp.sqrt((m - 1) / (m - lam)))
             g2 = -mp.sqrt(m - 1) / 2 * (lam * (m - lam)) ** -1.5
@@ -42,4 +46,4 @@ def at(lam, m):
         return SimpleNamespace(
             gamma_value=gam, gamma_first=g1, gamma_second=g2, r_value=r, r_first=r1,
             r_second=r2, g_value=g, f_value=-2 * mp.sqrt(lam * (m - lam) / (m - 1)),
-            hull_value=hull, a_value=a)
+            hull_value=hull, a_value=a, b_value=b, big_f_value=big_f)

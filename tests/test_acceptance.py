@@ -88,14 +88,17 @@ def test_criterion_3_divergence_threshold():
 def test_criterion_4_uniqueness_and_inflection():
     ok = True
     for m in range(2, 65):
-        unique = next(c for c in rf.certify_proof(m, 10_000).checks
+        # (g - f)'' < 0 on (1, m) leaves one sign change of R'' (none at m = 2)
+        unique = next(c for c in rf.certify_proof(m).checks
                       if c.name == "unique_inflection")
-        ok &= unique.passed and unique.measured == (0.0 if m == 2 else 1.0)
+        count = 0 if m == 2 else 1
+        ok &= (unique.passed and unique.claim.startswith(f"exactly {count} sign change(s)")
+               and unique.measured == -4.0 / (m * np.sqrt(m - 1.0)))
     for m in range(5, 65):
         res = rf.find_inflection(m)
         resid = abs(rf.g_value(res.lambda0, m) - rf.f_value(res.lambda0, m))
         ok &= resid < 1e-10 and 1.0 < res.lambda0 < m - 1.0
-    report(4, ok, "sign-change counts and g=f residuals over m in 2..64")
+    report(4, ok, "(g - f)'' bounds and g=f residuals over m in 2..64")
     assert ok
 
 

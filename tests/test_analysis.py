@@ -14,7 +14,6 @@ from rfunc import (
     TOL,
     DomainError,
     a_value,
-    b_value,
     big_f_value,
     certify_proof,
     f_value,
@@ -22,15 +21,14 @@ from rfunc import (
     find_tangent,
     g_value,
     gamma_first,
-    gamma_value,
     hull_value,
     r_first,
     r_value,
     r_second,
 )
 from rfunc import InflectionResult, analysis
-from rfunc.analysis import _CERTIFY_M_MAX, _grid_values, _lambda_grid, _workspace
-from rfunc.core import _f_second, _g_first, _wx
+from rfunc.analysis import _CERTIFY_M_MAX, _lambda_ends
+from rfunc.core import _MATH, _f_second, _g_first, _wx
 
 
 class TestFindInflection:
@@ -112,18 +110,19 @@ def check_named(report, name):
 
 
 class TestUniqueness:
+    # the check reports the supremum of (g - f)'', whose sign proves the count
+    # (README, "The lemma"); tests/test_lemma.py counts the sign changes of R''
+    # at 50 digits
     @pytest.mark.parametrize("m", [3, 4, 5, 40, 64])
     def test_exactly_one_sign_change(self, m):
         check = check_named(certify_proof(m), "unique_inflection")
-        assert check.measured == 1.0 and check.passed
+        assert check.claim.startswith("exactly 1 sign change(s) of R''") and check.passed
+        assert check.measured == -4.0 / (m * np.sqrt(m - 1.0)) and check.threshold == 0.0
 
     def test_m2_no_sign_change(self):
         check = check_named(certify_proof(2), "unique_inflection")
-        assert check.measured == 0.0 and check.passed
-
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            certify_proof(5, grid_size=10)
+        assert check.claim.startswith("exactly 0 sign change(s) of R''") and check.passed
+        assert check.measured == -2.0 and check.threshold == 0.0
 
 
 DELTA_CHECKS = ["big_f_at_zero_closed_form", "big_f_at_zero_lower_bound",
@@ -192,9 +191,10 @@ class TestCertifyProof:
 
     @pytest.mark.parametrize("m", [2**k for k in range(38, 54)] + [2**53 + 1, 10**17 + 1])
     def test_large_m_rejected_or_without_warnings(self, m):
-        # past m = 2**40 the grid's right end m - 1e-4 rounds to m, where R''
-        # divides by zero; such an m is refused before any grid work.  No
-        # float holds 2**53 + 1 or 10**17 + 1: the bound is compared as an int
+        # past m = 2**40 the lambda grid's right end m - 1e-4, where the
+        # certifier reads R', rounds to m, where R' is singular; such an m is
+        # refused before any work.  No float holds 2**53 + 1 or 10**17 + 1: the
+        # bound is compared as an int
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if m > 2**40:
@@ -218,106 +218,76 @@ class TestCertifyProof:
             assert isinstance(check["pass"], bool)
             assert isinstance(check["measured"], float)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 10 ** 3, 10 ** 6, 2**40])
-    def test_grid_values_equal_public_functions(self, m):
-        # certify_proof evaluates its grids in place, unchecked; every array
-        # must equal the checked public function on the same grid, bit for bit,
-        # at the default grid size and at another one.  x = 1 - gamma is held to
-        # gamma_value = 1 - x, the one public function that reads it
-        for n in (10_000, 1001):
-            vals = _grid_values(m, _workspace(n))
-            grid = vals["grid"]
-            assert grid.size == n
-            # the grids are written in place from a ramp, as np.linspace writes them
-            assert np.array_equal(grid, _lambda_grid(m, n))
-            if m >= 5:
-                assert np.array_equal(vals["deltas"], np.linspace(0.0, 1.0 - 1e-6, n))
-            got = dict(vals, x=1.0 - vals["x"])
-            want = {"gamma_first": gamma_first(grid, m), "g": g_value(grid, m),
-                    "x": gamma_value(grid, m), "r_second": r_second(grid, m)}
-            if m >= 5:
-                deltas = vals["deltas"]
-                want.update(a=a_value(deltas, m), b=b_value(deltas, m),
-                            big_f=big_f_value(deltas, m))
-            assert set(vals) - {"grid", "deltas"} == set(want)
-            for name, expected in want.items():
-                assert np.array_equal(got[name], expected), (name, n)
-
-    @pytest.mark.parametrize("m", [2, 3, 5, 64, 10 ** 6, 2**40])
+    @pytest.mark.parametrize("m", [2, 3, 5, 64, 10 ** 6, 10 ** 12, 2**40])
     def test_monotone_checks_measure_the_closed_forms(self, m):
-        # each monotone check reads its closed-form derivative at the grid's
-        # worst point: the public function or core kernel, bit for bit, except
-        # f'', whose scalar power may differ from numpy's by an ulp
-        grid = _lambda_grid(m, 10_000)
+        # each closed-form check reads its kernel at the analytic worst point
+        # (README, "The lemma"), bit for bit, and that value is the formula of
+        # the lemma's table
+        ends = np.array(_lambda_ends(m))
+        lam_g = 0.5 * (m + np.sqrt(m))
         got = {c.name: c.measured for c in certify_proof(m).checks}
-        assert got["gamma_nonincreasing"] == gamma_first(grid, m).max()
-        assert got["r_nondecreasing"] == r_first(grid, m, base="natural").min()
-        assert got["f_convex"] == pytest.approx(_f_second(grid, m, np).min(), rel=1e-15)
+        assert got["gamma_nonincreasing"] == gamma_first(ends, m)[0]
+        assert got["r_nondecreasing"] == r_first(ends, m, base="natural").min()
+        assert got["f_convex"] == _f_second(m / 2, m, _MATH)
+        formulas = {"f_convex": 4.0 / (m * np.sqrt(m - 1.0)),
+                    "unique_inflection": -4.0 / (m * np.sqrt(m - 1.0))}
         if m >= 3:
-            assert got["g_increasing"] == _g_first(grid, m, np, *_wx(grid, m, np)).min()
+            assert got["g_increasing"] == _g_first(lam_g, m, _MATH, *_wx(lam_g, m, _MATH))
+            formulas["g_increasing"] = 4.0 / (m - 1.0)
+        if m >= 5:
+            g1 = _g_first(m - 1.0, m, _MATH, *_wx(m - 1.0, m, _MATH))
+            assert got["a_increasing"] == a_value(0.0, m) * g1
+            assert got["big_f_above_minus_one"] == big_f_value(0.0, m)
+            formulas.update(a_increasing=m * m * (m - 2.0) / (8.0 * (m - 1.0) ** 3),
+                            b_increasing=(m - 2.0) / (2.0 * (m - 1.0)),
+                            big_f_above_minus_one=np.log((m - 2.0) / (2.0 * (m - 1.0))))
+        for name, want in formulas.items():
+            assert got[name] == pytest.approx(want, rel=1e-13), name
 
 
-# each array certify_proof reads, the checks that read it, and a shift of one
-# interior value that breaks each of them (g_increasing, the one reader of x, is
-# absent at m = 2).  R'' may have either sign there; a NaN counts as a sign change
-CORRUPTIONS = [("gamma_first", ("gamma_nonincreasing", "r_nondecreasing", "g_increasing"), 1.0),
-               ("g", ("r_nondecreasing",), 100.0), ("r_second", ("unique_inflection",), np.nan),
-               ("x", ("g_increasing",), 1.0), ("a", ("a_increasing",), -1.0),
-               ("b", ("b_increasing",), -1.0), ("big_f", ("big_f_above_minus_one",), -1.0)]
+# each name certify_proof reads for a closed-form check, the checks that read it,
+# and a value on the wrong side of their threshold: a derivative's sign flipped,
+# F mirrored through -1.  find_inflection reads _g_first too, for its Newton
+# slope; with a wrong slope it falls back to midpoints, so lambda0 and its
+# residual move but still pass
+WRONG = {"gamma_first": (("gamma_nonincreasing",), np.negative),
+         "r_first": (("r_nondecreasing",), np.negative),
+         "_f_second": (("f_convex",), np.negative),
+         "_g_first": (("g_increasing", "a_increasing"), np.negative),
+         "a_value": (("a_increasing",), np.negative),
+         "big_f_value": (("big_f_at_zero_closed_form", "big_f_at_zero_lower_bound",
+                          "big_f_above_minus_one"), lambda f: -2.0 - f)}
+MOVED = {"_g_first": ("inflection_residual", "inflection_in_open_interval")}
 
 
 class TestCorruptedRows:
-    # the checks read the arrays and the workspace's scratch rows side by side: an
-    # array written over another, or read from the wrong row, must show.  F's
-    # minimum lies on the last node, so the value corrupted is an interior one
-
-    @pytest.mark.parametrize("m, name, checks, shift", [  # the arrays that exist for m
-        (m, *c) for m, k in ((2, 3), (3, 4), (5, 7), (10**6, 7)) for c in CORRUPTIONS[:k]],
-        ids=lambda v: "+".join(v) if isinstance(v, tuple) else None)
-    def test_only_the_matching_check_fails(self, monkeypatch, m, name, checks, shift):
+    @pytest.mark.parametrize("name", WRONG)
+    @pytest.mark.parametrize("m", [2, 3, 5, 10**6])
+    def test_only_the_checks_that_read_it_fail(self, monkeypatch, m, name):
+        readers, wrong = WRONG[name]
         clean = certify_proof(m).checks
-        grid_values = analysis._grid_values
-
-        def corrupted(m, ws):
-            vals = grid_values(m, ws)
-            vals[name][vals[name].size // 2] += shift
-            return vals
-
-        monkeypatch.setattr(analysis, "_grid_values", corrupted)
+        right = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *args, **kw: wrong(right(*args, **kw)))
         got = certify_proof(m).checks
         assert [c.name for c in got] == [c.name for c in clean]
         for bad, good in zip(got, clean):
-            if bad.name in checks:
-                assert good.passed and not bad.passed
+            if bad.name in readers:
+                assert good.passed and not bad.passed, bad.name
+            elif bad.name in MOVED.get(name, ()):
+                assert bad.passed, bad.name
             else:
                 assert bad == good, bad.name
 
 
-def _in_fresh_thread(fn):
-    # fn() in a new thread, whose workspace starts empty: a first call
-    out = []
-    t = threading.Thread(target=lambda: out.append(fn()))
-    t.start()
-    t.join(timeout=60)
-    assert not t.is_alive() and len(out) == 1
-    return out[0]
-
-
 class TestWorkspace:
-    # certify_proof evaluates its grids in one workspace per thread, reused
-    # from call to call while the grid has at most 10**5 points
+    # certify_proof's working memory: the report does not depend on what ran
+    # before it, in this thread or another, and a warm call faults no page
 
     def test_interleaved_calls_match_first_calls(self):
-        cases = [(m, n) for n in (1000, 1001, 12345, 200_000) for m in (2, 3, 5, 64, 10**6)]
-        first = {case: _in_fresh_thread(lambda case=case: certify_proof(*case).to_dict())
-                 for case in cases}
-        for case in cases[::2] + cases[::-1] + cases[1::2]:
-            assert certify_proof(*case).to_dict() == first[case], case
-
-    def test_kept_only_up_to_1e5_points(self):
-        assert _workspace(100_000) is _workspace(100_000)
-        assert _workspace(100_001) is not _workspace(100_001)
-        assert _workspace(1000).shape == (13, 1000)
+        ms = [2, 3, 5, 64, 10**6, 10**12, 2**40]
+        first = {m: certify_proof(m).to_dict() for m in ms}
+        for m in ms[::2] + ms[::-1] + ms[1::2]:
+            assert certify_proof(m).to_dict() == first[m], m
 
     def test_concurrent_threads_match_serial_runs(self):
         ms = {0: [5, 64, 1000, 7, 2**40], 1: [3, 10**6, 40, 2, 11]}
@@ -347,11 +317,11 @@ class TestWorkspace:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="minor page faults are counted as on Linux")
     def test_warm_calls_fault_no_pages(self):
-        # grid arrays freed per call are trimmed from the heap and faulted back in
-        # on the next call: about 300 minor faults per call with the sampled rows,
-        # and 80-100 with _grid_values' rows on plain kernel calls.  A fresh
-        # interpreter, since one whose heap other tests have grown trims nothing;
-        # the dimensions are the benchmark's certify_sweep, after a warm-up pass
+        # arrays freed per call are trimmed from the heap and faulted back in on
+        # the next call (80-300 minor faults per call for a few 10**4-point
+        # arrays).  A fresh interpreter, since one whose heap other tests have
+        # grown trims nothing; the dimensions are the benchmark's certify_sweep,
+        # after a warm-up pass
         script = ("import resource\n"
                   "from rfunc import certify_proof\n"
                   "dims = list(range(2, 65)) + [10**3, 10**4, 10**5, 10**6]\n"

@@ -76,7 +76,9 @@ class TestCertify:
         assert code == 0
         doc = json.loads(out)
         unique = next(c for c in doc["checks"] if c["name"] == "unique_inflection")
-        assert unique["measured"] == 0.0 and unique["pass"]
+        # no sign change of R'': (g - f)'' <= -4/(m sqrt(m-1)) = -2
+        assert unique["claim"].startswith("exactly 0 sign change(s)") and unique["pass"]
+        assert unique["measured"] == -2.0
 
     def test_invalid_dimension_exit_2(self, capsys):
         code, _, err = run(capsys, "certify", "--m", "1")
@@ -91,18 +93,21 @@ class TestCertify:
                              ids=["2**40+1", "2**53+1", "range-across"])
     def test_dimension_past_certify_limit_exit_2(self, capsys, monkeypatch, m):
         # refused before any certificate is built, for a range that crosses the bound too
-        def certify_proof(m, grid_size):
+        def certify_proof(m):
             pytest.fail(f"certified m = {m}")
         monkeypatch.setattr(cli, "certify_proof", certify_proof)
         code, out, err = run(capsys, "certify", "--m", m)
         assert code == 2 and out == ""
         assert err == f"error: the lambda grid needs m <= {2**40}, got {m.split('..')[-1]}\n"
 
-    def test_small_grid_rejected_before_grid_work(self, capsys):
-        code, out, err = run(capsys, "certify", "--m", "5", "--grid", "2")
-        assert code == 2 and out == ""
-        assert "grid_size must be at least 1000" in err
-        assert "zero-size" not in err
+    def test_grid_option_is_a_usage_error(self, capsys):
+        # the certifier samples no grid; rfunc table keeps its --grid
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--m", "5", "--grid", "10000"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --grid" in captured.err
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "certify", "--m", "6")
@@ -260,11 +265,11 @@ class TestUsage:
     @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 7.45 GiB"),
                                      MemoryError()], ids=["numpy", "bare"])
     def test_memory_error_exit_2(self, capsys, monkeypatch, exc):
-        # a --grid or --m range too large for memory; nothing is allocated here
-        def certify_proof(m, grid_size):
+        # an --m range too large for memory; nothing is allocated here
+        def certify_proof(m):
             raise exc
         monkeypatch.setattr(cli, "certify_proof", certify_proof)
-        code, out, err = run(capsys, "certify", "--m", "5", "--grid", "1000000000")
+        code, out, err = run(capsys, "certify", "--m", "5")
         assert code == 2 and out == ""
         assert err == f"error: {str(exc) or 'MemoryError'}\n"
 

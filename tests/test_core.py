@@ -278,6 +278,24 @@ class TestGAndF:
         worst = float(np.max(errors))  # nan if a kernel gave nan
         assert worst <= 1e-12, f"worst relative error {worst:.3e}"
 
+    @pytest.mark.parametrize("m", [5, 64, 10**3, 10**6, 10**9, 2**40])
+    def test_first_derivatives_near_m_match_mpmath(self, m):
+        # gamma' and g' near lambda = m, where gamma -> 1/m: both take gamma from
+        # the sum sqrt(gamma) = (sqrt(L) + sqrt((m-1)(m-L)))/m, since 1 - x would
+        # turn x's absolute error u into u/gamma (4.0e-5 relative at 2**40)
+        mo = pytest.importorskip("mp_oracle")
+        errors = []
+        for s in (1e-2, 1e-7 * (m - 1)):
+            lam = m - s
+            with mo.mp.workdps(mo.DPS):
+                gp = mo.at(lam, m).gamma_first
+                g1 = mo.mp.diff(lambda v: mo.at(v, m).g_value, lam)
+            for xp, at in ((_MATH, lam), (np, np.array([lam]))):
+                got = np.squeeze([gamma_first(at, m), _g_first(at, m, xp, *_wx(at, m, xp))])
+                errors += [float(abs(got[0] - gp) / -gp), float(abs(got[1] - g1) / g1)]
+        worst = float(np.max(errors))  # nan if a kernel gave nan
+        assert worst <= 1e-13, f"worst relative error {worst:.3e}"
+
 
 class TestRightIntervalFunctions:
     def test_c_at_zero(self):

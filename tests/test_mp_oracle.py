@@ -69,12 +69,31 @@ def test_chain_rule_derivatives_match_mpmath_diff(m):
             assert close(ref.r_second, r_second, 30), (lam, ref.r_second, r_second)
 
 
+@pytest.mark.parametrize("m", M_VALUES)
+def test_b_and_big_f_from_their_definitions(m):
+    # B = sqrt((m-1)/((m-1+delta)(1-delta))) and F = (1/2) B log A, with B(0) = 1
+    # and F(0) = log((m-2)/(2(m-1))); to 30 digits, since m - lambda = 1 - delta
+    # = 1e-12 gives up 12 + log10(m) of the 50
+    with mp.workdps(mo.DPS):
+        for delta in [0, mp.mpf("1e-9"), mp.mpf("0.5"), 1 - mp.mpf("1e-12")]:
+            ref = mo.at(m - 1 + delta, m)
+            b = mp.sqrt((m - 1) / ((m - 1 + delta) * (1 - delta)))
+            assert close(ref.b_value, b, 30)
+            if ref.g_value is not None:
+                assert close(ref.big_f_value, b * mp.log(ref.a_value) / 2, 30)
+        at_zero = mo.at(m - 1, m)
+        assert close(at_zero.b_value, 1, 45)
+        if m > 2:
+            assert close(at_zero.big_f_value, mp.log(mp.mpf(m - 2) / (2 * (m - 1))), 40)
+
+
 def test_singular_points_are_none():
     with mp.workdps(mo.DPS):
         at_one, at_m = mo.at(1, 5), mo.at(5, 5)
     assert (at_one.g_value, at_one.r_first, at_one.r_second) == (None, None, None)
     assert at_one.gamma_first == 0
     assert (at_m.gamma_first, at_m.gamma_second, at_m.r_first, at_m.r_second) == (None,) * 4
+    assert (at_m.b_value, at_m.big_f_value, at_one.big_f_value) == (None,) * 3
 
 
 def test_g_minus_f_continues_past_m():
