@@ -198,8 +198,9 @@ def _wx(lam, m, xp):
 
 def _sqrt_gamma(lam, m, xp):
     # sqrt(gamma) as a sum of two roots, which does not cancel: sqrt(1 - x) turns
-    # x's absolute error u into u/gamma near lambda = m, where gamma -> 1/m
-    return (xp.sqrt(lam) + xp.sqrt((m - 1.0) * (m - lam))) / m
+    # x's absolute error u into u/gamma near lambda = m, where gamma -> 1/m.  The
+    # root of (m-1)(m-L) is split, since that product overflows past m ~ 1.34e154
+    return (xp.sqrt(lam) + xp.sqrt(m - 1.0) * xp.sqrt(m - lam)) / m
 
 
 def _gp(lam, m, xp, w, x):

@@ -54,8 +54,8 @@ class TestFindInflection:
 
     @pytest.mark.parametrize("m", [3, 4, 5, 64, 1000, 10**6, 10**9, 2**40])
     def test_lambda0_matches_mpmath(self, m):
-        # the root of g = f in the 50-digit oracle; one bracket (1, m) holds it
-        # for every m >= 3, above m-1 for m in {3, 4} and below for m >= 5
+        # the root of g = f in the 50-digit oracle, right of lambda* for every
+        # m >= 3, above m-1 for m in {3, 4} and below for m >= 5
         mo = pytest.importorskip("mp_oracle")
         lam0 = find_inflection(m).lambda0
         with mo.mp.workdps(mo.DPS):
@@ -65,12 +65,15 @@ class TestFindInflection:
             err = abs(lam0 - mo.mp.findroot(g_minus_f, mo.mp.mpf(lam0)))
         assert err <= 1e-12, f"error {float(err):.3e}"
 
-    @pytest.mark.parametrize("m", [10**20, 10**48, 10**100, 10**200, 10**250, 10**300])
+    @pytest.mark.parametrize("m", [10**20, 10**48, 10**100, 10**155, 10**200, 10**250,
+                                   10**300, 2**1000 - 1])
     def test_root_past_a_1e_12_bracket(self, m):
         # from m ~ 1e48 on, lambda0 > 1e4, where adjacent doubles lie more than
-        # 1e-12 apart: the search must stop there, at a root, not at a cap.  From
-        # m ~ 1e200 on, x = 1 - gamma underflows to 0 near lambda = 1, where
-        # Newton's slope divides by x: the midpoint must stand in for that step
+        # 1e-12 apart: the steps must stop there, at a root, not at a cap.  Past
+        # m ~ 1.34e154, (m-1)(m-L) overflows: the Newton slope and sqrt(gamma)
+        # must split its root, or the first slope is NaN and the steps stop at
+        # lambda*.  x = 1 - gamma is 1/m at lambda* and only grows, so it never
+        # underflows, up to the largest m the fast path takes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = find_inflection(m)
@@ -81,11 +84,12 @@ class TestFindInflection:
     @pytest.mark.parametrize("m, most", [(m, 20) for m in (3, 4, 5, 10, 64, 10**3, 10**5, 10**6)]
                              + [(2**40, 10), (10**100, 20), (10**300, 70)])
     def test_evaluation_count(self, m, most):
-        # Newton steps, against 41 to 80 halvings of (1, m) by bisection; a
-        # geometric midpoint brings the bracket from m down to lambda0 << m in
-        # about log2(log m) steps (322 arithmetic ones at 10**100, 1,027 at 10**300)
+        # Newton steps from lambda*, which rise to lambda0 (the concavity of
+        # g - f), against 41 to 80 halvings of (1, m) by bisection.  ``most`` is
+        # the bound of the bracketed search these steps replaced (it names the
+        # cases); they are held to 12 at every m
         res = find_inflection(m)
-        assert 0 < res.iterations <= most
+        assert 0 < res.iterations <= min(most, 12)
         assert find_inflection(m) == res
 
     @pytest.mark.parametrize("m", [3, 4, 5, 64, 10**6, 2**40, 10**300])
@@ -131,13 +135,64 @@ DELTA_CHECKS = ["big_f_at_zero_closed_form", "big_f_at_zero_lower_bound",
 
 class TestInflectionInterval:
     def test_fails_when_the_root_lies_right_of_m_minus_one(self, monkeypatch):
-        # at m = 5, g < f + 1/2 on all of (1, m): with no root left of m-1 the
-        # bisection ends right of it, and the check of lambda0 in (1, m-1) must fail
+        # at m = 5, g < f + 1/2 on all of (1, m): with no root the Newton steps
+        # rise past m-1 before one leaves (lambda, m), and the check of lambda0
+        # in (1, m-1) must fail
         f = analysis._f
         monkeypatch.setattr(analysis, "_f", lambda lam, m, xp: f(lam, m, xp) + 0.5)
         check = check_named(certify_proof(5), "inflection_in_open_interval")
         assert 4.0 < check.measured < 5.0
         assert not check.passed
+
+
+class TestTangentRows:
+    # lambda* = 4(m-1)/m, where (g - f)(lambda*) = -2h(m), h(m) = log(m-1) - 2 + 4/m:
+    # negative for m >= 3, so lambda* < lambda0; find_inflection starts there
+    @pytest.mark.parametrize("m", [3, 4, 5, 64, 10**6, 10**12, 2**40])
+    def test_rows_measure_the_closed_forms(self, m):
+        rep = certify_proof(m)
+        left = check_named(rep, "tangent_left_of_inflection")
+        h = np.log(m - 1.0) - 2.0 + 4.0 / m
+        assert left.passed and left.threshold == 0.0
+        assert left.measured == pytest.approx(-2.0 * h, rel=1e-13)
+        slope = check_named(rep, "tangent_slope")
+        assert slope.passed and slope.measured <= 1e-15
+
+    def test_a_tangent_point_moved_right_fails(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_lam_star", lambda m: 4.0 * (m - 1) / m + 0.2)
+        assert not check_named(certify_proof(3), "tangent_left_of_inflection").passed
+
+    def test_a_start_past_lambda0_fails_the_residual(self, monkeypatch):
+        # at m = 5, lambda0 ~ 3.88: started right of it, the first g - f >= 0
+        # ends the steps there, far from the root
+        monkeypatch.setattr(analysis, "_lam_star", lambda m: 4.2)
+        rep = certify_proof(5)
+        for name in ("tangent_left_of_inflection", "inflection_residual"):
+            assert not check_named(rep, name).passed, name
+
+    @pytest.mark.parametrize("m", [3, 5, 64])
+    def test_a_wrong_slope_fails(self, monkeypatch, m):
+        right = analysis._tangent_natural
+
+        def skewed(m):
+            lam_star, slope, value, degenerate = right(m)
+            return lam_star, slope * (1.0 + 1e-9), value, degenerate
+
+        monkeypatch.setattr(analysis, "_tangent_natural", skewed)
+        assert not check_named(certify_proof(m), "tangent_slope").passed
+
+    @pytest.mark.parametrize("m", [5, 64, 10**6])
+    def test_no_root_stops_without_raising(self, monkeypatch, m):
+        # g - f < 0 on all of (1, m) once f is raised: a step leaves (lambda, m)
+        # and the steps stop there, with a residual the certifier fails
+        f = analysis._f
+        monkeypatch.setattr(analysis, "_f",
+                            lambda lam, m, xp: f(lam, m, xp) + m / np.sqrt(m - 1.0) + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = find_inflection(m)
+        assert 4.0 * (m - 1) / m <= res.lambda0 < m
+        assert res.residual > TOL.inflection_residual
 
 
 class TestNoRootRight:
@@ -162,6 +217,7 @@ BASE_CHECKS = ["gamma_at_one", "gamma_at_m", "r_at_one", "r_at_m",
                "r_second_positive_left_edge", "f_endpoints", "f_convex"]
 G_CHECKS = ["g_increasing", "g_at_m_minus_one_closed_form",
             "r_second_at_m_minus_one_closed_form"]
+TANGENT_CHECKS = ["tangent_left_of_inflection", "tangent_slope"]
 
 
 class TestCertifyProof:
@@ -179,11 +235,12 @@ class TestCertifyProof:
 
     @pytest.mark.parametrize("m, names", [
         (2, BASE_CHECKS + ["unique_inflection"]),
-        (3, BASE_CHECKS + G_CHECKS + ["unique_inflection"]),
+        (3, BASE_CHECKS + G_CHECKS + ["unique_inflection"] + TANGENT_CHECKS),
         (5, BASE_CHECKS + G_CHECKS + ["g_at_m_minus_one_above_minus_two",
                                       "r_second_negative_at_m_minus_one",
-                                      "unique_inflection", "inflection_residual",
-                                      "inflection_in_open_interval"] + DELTA_CHECKS),
+                                      "unique_inflection"]
+         + TANGENT_CHECKS + ["inflection_residual", "inflection_in_open_interval"]
+         + DELTA_CHECKS),
     ])
     def test_check_names_and_order(self, m, names):
         # the order is the order of the checks printed by `rfunc certify`
@@ -248,16 +305,17 @@ class TestCertifyProof:
 # each name certify_proof reads for a closed-form check, the checks that read it,
 # and a value on the wrong side of their threshold: a derivative's sign flipped,
 # F mirrored through -1.  find_inflection reads _g_first too, for its Newton
-# slope; with a wrong slope it falls back to midpoints, so lambda0 and its
-# residual move but still pass
+# slope; with a wrong slope the first step leaves (lambda*, m), and the steps
+# stop at lambda*, far from the root.  lambda* lies in (1, m-1) too, so
+# inflection_in_open_interval moves but still passes
 WRONG = {"gamma_first": (("gamma_nonincreasing",), np.negative),
-         "r_first": (("r_nondecreasing",), np.negative),
+         "r_first": (("r_nondecreasing", "tangent_slope"), np.negative),
          "_f_second": (("f_convex",), np.negative),
-         "_g_first": (("g_increasing", "a_increasing"), np.negative),
+         "_g_first": (("g_increasing", "inflection_residual", "a_increasing"), np.negative),
          "a_value": (("a_increasing",), np.negative),
          "big_f_value": (("big_f_at_zero_closed_form", "big_f_at_zero_lower_bound",
                           "big_f_above_minus_one"), lambda f: -2.0 - f)}
-MOVED = {"_g_first": ("inflection_residual", "inflection_in_open_interval")}
+MOVED = {"_g_first": ("inflection_in_open_interval",)}
 
 
 class TestCorruptedRows:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,29 @@ class TestGAndF:
                 got = np.squeeze([gamma_first(at, m), _g_first(at, m, xp, *_wx(at, m, xp))])
                 errors += [float(abs(got[0] - gp) / -gp), float(abs(got[1] - g1) / g1)]
         worst = float(np.max(errors))  # nan if a kernel gave nan
+        assert worst <= 1e-13, f"worst relative error {worst:.3e}"
+
+    @pytest.mark.parametrize("m", [10**154, 10**155, 10**200, 10**300],
+                             ids=lambda m: f"1e{len(str(m)) - 1}")
+    def test_first_derivatives_past_the_product_overflow_match_mpmath(self, m):
+        # sqrt(gamma) = (sqrt(L) + sqrt((m-1)(m-L)))/m takes the product's root as
+        # sqrt(m-1) sqrt(m-L): (m-1)(m-L) overflows past m ~ 1.34e154, where
+        # gamma' was -inf and R' +inf
+        mo = pytest.importorskip("mp_oracle")
+        errors = []
+        for lam in (4.0, 1e5):
+            with mo.mp.workdps(mo.DPS):
+                ref = mo.at(lam, m)
+                g1 = mo.mp.diff(lambda v: mo.at(v, m).g_value, lam)
+            for xp, at in ((_MATH, lam), (np, np.array([lam]))):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = np.squeeze([gamma_first(at, m), r_first(at, m),
+                                      _g_first(at, m, xp, *_wx(at, m, xp))])
+                errors += [float(abs(got[0] - ref.gamma_first) / -ref.gamma_first),
+                           float(abs(got[1] - ref.r_first) / ref.r_first),
+                           float(abs(got[2] - g1) / g1)]
+        worst = float(np.max(errors))  # nan if a kernel gave nan or inf
         assert worst <= 1e-13, f"worst relative error {worst:.3e}"
 
 
