@@ -8,7 +8,9 @@ report.  The endpoint values are checked against their closed forms.  Every
 other claim (gamma decreasing, R and g increasing, f convex, one sign change
 of R'', the tangent point left of it, and the delta route's A, B and F) is
 checked by a closed form taken at its analytic worst point; the lemma behind
-each point is in README.  No claim is sampled.
+each point is in README.  No claim is sampled.  The rows read ``core``'s
+kernels at points checked once, each with the arithmetic of the public
+function it stands for.
 """
 
 from __future__ import annotations
@@ -19,22 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _MATH, _args, _f, _f_second, _g, _g_first, _r, _wx
-from .core import (
-    TOL,
-    DomainError,
-    a_value,
-    big_f_value,
-    check_dimension,
-    convert_base,
-    f_value,
-    g_value,
-    gamma_first,
-    gamma_value,
-    r_first,
-    r_second,
-    r_value,
-)
+from .core import _MATH, _a, _args, _b, _big_f, _f, _f_second, _g, _g_first, _gp, _r, _rpp, _wx
+from .core import LOG2E, TOL, DomainError, check_dimension, convert_base
 
 __all__ = [
     "InflectionResult",
@@ -164,8 +152,23 @@ def _certify_m(m) -> int:
     return m
 
 
+_LOG_3_8 = np.log(3.0 / 8.0)  # F(0) at m = 5, the least m whose F(0) > -1
+
+
+def _at(lam, m):
+    # the kernels' arguments at a float lambda in [1, m]: (lambda, m, xp, w, x), one _wx
+    return (lam, m, _MATH, *_wx(lam, m, _MATH))
+
+
 def certify_proof(m) -> CertificateReport:
     """Run every endpoint identity and closed-form check for one m <= 2**40 = 1,099,511,627,776.
+
+    m is checked once, by ``_certify_m`` (``find_inflection``, for m >= 5,
+    repeats only its one comparison).  Each row then reads ``core``'s kernels
+    at its point, whose (w, x) is taken once, with the arithmetic of the
+    public function it stands for (``gamma_value``, ``r_value``, ``r_first``,
+    ``g_value``, ``big_f_value``, ...), so its value is that function's, bit
+    for bit.
 
     Each inequality is checked at its analytic worst point (README, "The
     lemma").  Uniqueness of the inflection rests on (g - f)'' < 0 on (1, m):
@@ -187,42 +190,46 @@ def certify_proof(m) -> CertificateReport:
     def identity(name, claim, err):
         rep.add(name, claim, err, 1e-12, err <= 1e-12)
 
-    identity("gamma_at_one", "gamma(1) = 1", abs(gamma_value(1.0, m) - 1.0))
-    identity("gamma_at_m", "gamma(m) = 1/m", abs(gamma_value(float(m), m) - 1.0 / m))
-    identity("r_at_one", "R(1) = 0", abs(r_value(1.0, m)))
-    identity("r_at_m", "R(m) = log2(m)", abs(r_value(float(m), m) - np.log2(m)))
+    # gamma = 1 - x, and R in bits is R * LOG2E, as convert_base takes it
+    x_one, x_m = _wx(1.0, m, _MATH)[1], _wx(float(m), m, _MATH)[1]
+    identity("gamma_at_one", "gamma(1) = 1", abs(1.0 - x_one - 1.0))
+    identity("gamma_at_m", "gamma(m) = 1/m", abs(1.0 - x_m - 1.0 / m))
+    identity("r_at_one", "R(1) = 0", abs(_r(x_one, m, _MATH) * LOG2E))
+    identity("r_at_m", "R(m) = log2(m)", abs(_r(x_m, m, _MATH) * LOG2E - np.log2(m)))
 
-    # gamma'' < 0, so gamma' is largest at the left end; R' rises, then falls (R''
-    # changes sign once at most), so it is least at an end.  A NaN fails both
+    # gamma'' < 0, so gamma' is largest at the left end; R' = gamma' g rises, then
+    # falls (R'' changes sign once at most), so it is least at an end.  A NaN fails both
     left, right = _lambda_ends(m)
-    high = gamma_first(left, m)
+    at_left, at_right = _at(left, m), _at(right, m)
+    high = _gp(*at_left)
     rep.add("gamma_nonincreasing", "gamma' <= 0 on [1, m]", high, 0.0, high <= 0.0)
-    low = np.minimum(r_first(left, m, base="natural"), r_first(right, m, base="natural"))
+    low = np.minimum(high * _g(*at_left), _gp(*at_right) * _g(*at_right))
     rep.add("r_nondecreasing", "R' = gamma' g >= 0 on [1, m]", low, 0.0, low >= 0.0)
 
     # R'' is positive just right of 1 (the divergence there is logarithmic,
     # so "large" cannot mean more than a few tens in double precision).
-    edge = r_second(1.0 + 1e-6, m)
+    at_edge = _at(1.0 + 1e-6, m)
+    edge = _rpp(*at_edge[:3], _g(*at_edge))
     rep.add("r_second_positive_left_edge", "R''(1 + 1e-6) > 0",
             edge, 0.0, edge > 0.0)
 
     identity("f_endpoints", "f(1) = f(m-1) = -2",
-             max(abs(f_value(1.0, m) + 2.0), abs(f_value(float(m - 1), m) + 2.0)))
+             max(abs(_f(1.0, m, _MATH) + 2.0), abs(_f(float(m - 1), m, _MATH) + 2.0)))
     # f'' is least where L(m-L) is largest, at m/2: 4/(m sqrt(m-1))
     curv = _f_second(0.5 * m, m, _MATH)
     rep.add("f_convex", "f'' = m^2 (L(m-L))^(-3/2) / (2 sqrt(m-1)) > 0",
             curv, 0.0, curv > 0.0)
 
     if m >= 3:
-        lam_g = 0.5 * (m + math.sqrt(m))  # g' is least there: 4/(m-1)
-        low = _g_first(lam_g, m, _MATH, *_wx(lam_g, m, _MATH))
+        low = _g_first(*_at(0.5 * (m + math.sqrt(m)), m))  # g' is least there: 4/(m-1)
         rep.add("g_increasing", "g' >= g'((m + sqrt(m))/2) = 4/(m-1) > 0 on (1, m)",
                 low, 0.0, low > 0.0)
         log_ratio = np.log((m - 2.0) / (2.0 * (m - 1.0)))
-        gm1 = g_value(float(m - 1), m)
+        at_m1 = _at(float(m - 1), m)
+        gm1 = _g(*at_m1)
         identity("g_at_m_minus_one_closed_form", "g(m-1) = 2 log((m-2)/(2(m-1)))",
                  abs(gm1 - 2.0 * log_ratio))
-        rpp_m1 = r_second(float(m - 1), m)
+        rpp_m1 = _rpp(*at_m1[:3], gm1)
         closed_rpp = -(log_ratio + 1.0) / (m - 1.0)
         identity("r_second_at_m_minus_one_closed_form",
                  "R''(m-1) = -(1/(m-1))(log((m-2)/(2(m-1))) + 1)",
@@ -247,12 +254,14 @@ def certify_proof(m) -> CertificateReport:
         # there, so g - f = -2 log(m-1) + 4(m-2)/m, negative for m >= 3, and the
         # one root of the concave g - f lies right of it (README, "The lemma")
         lam_s, slope, _, _ = _tangent_natural(m)
-        gap = _g(lam_s, m, _MATH, *_wx(lam_s, m, _MATH)) - _f(lam_s, m, _MATH)
+        at_s = _at(lam_s, m)
+        g_s = _g(*at_s)
+        gap = g_s - _f(lam_s, m, _MATH)
         rep.add("tangent_left_of_inflection",
                 "(g - f)(lambda*) = -2(log(m-1) - 2 + 4/m) < 0, so lambda* < lambda0",
                 gap, 0.0, gap < 0.0)
         identity("tangent_slope", "R'(lambda*) = log(m-1)/(m-2)",
-                 abs(r_first(lam_s, m, base="natural") - slope))
+                 abs(_gp(*at_s) * g_s - slope))
 
     if m >= 5:
         res = find_inflection(m)
@@ -263,18 +272,18 @@ def certify_proof(m) -> CertificateReport:
                 res.lambda0, float(m - 1),
                 1.0 < res.lambda0 < m - 1.0)
 
-        f0 = big_f_value(0.0, m)
+        a0 = _a(0.0, m)
+        f0 = _big_f(a0, _b(0.0, m))
         identity("big_f_at_zero_closed_form", "F(0) = log((m-2)/(2(m-1)))",
                  abs(f0 - log_ratio))
-        log_3_8 = np.log(3.0 / 8.0)
         rep.add("big_f_at_zero_lower_bound", "F(0) >= log(3/8) > -1",
-                f0, log_3_8, f0 >= log_3_8 - 1e-12)
+                f0, _LOG_3_8, f0 >= _LOG_3_8 - 1e-12)
         rep.add("big_f_above_minus_one",
                 "F(delta) > -1 on [0, 1): F(delta) + 1 >= (1-delta) B(delta) (F(0) + 1)",
                 f0, -1.0, f0 > -1.0)
         # A' = A g' and B'/B = (m-2+2 delta)/(2(m-1+delta)(1-delta)) increase on
         # [0, 1) (g is convex right of (m + sqrt(m))/2 < m-1), so both are least at 0
-        slope_a = a_value(0.0, m) * _g_first(m - 1.0, m, _MATH, *_wx(m - 1.0, m, _MATH))
+        slope_a = a0 * _g_first(*at_m1)
         rep.add("a_increasing", "A' = A g' >= A'(0) > 0 on [0, 1)",
                 slope_a, 0.0, slope_a > 0.0)
         slope_b = (m - 2.0) / (2.0 * (m - 1.0))

@@ -220,10 +220,10 @@ def _g(lam, m, xp, w, x):
 
 def _g_first(lam, m, xp, w, x):
     # g' = -gamma'/(gamma x), from g = log x - log(m-1) - log gamma and x' = -gamma';
-    # positive wherever gamma' < 0.  gamma from _sqrt_gamma, not 1 - x.  The
-    # caller keeps 0 < x < 1
+    # positive wherever gamma' < 0.  gamma from _sqrt_gamma, not 1 - x, taken once:
+    # -gamma' is _gp's expression with its sign dropped.  The caller keeps 0 < x < 1
     s = _sqrt_gamma(lam, m, xp)
-    return -_gp(lam, m, xp, w, x) / (s * s * x)
+    return s * (lam - 1.0) / (w * xp.sqrt(lam * (m - lam))) / (s * s * x)
 
 
 def _rpp(lam, m, xp, g):

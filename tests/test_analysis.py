@@ -21,6 +21,7 @@ from rfunc import (
     find_tangent,
     g_value,
     gamma_first,
+    gamma_value,
     hull_value,
     r_first,
     r_value,
@@ -302,25 +303,81 @@ class TestCertifyProof:
             assert got[name] == pytest.approx(want, rel=1e-13), name
 
 
-# each name certify_proof reads for a closed-form check, the checks that read it,
-# and a value on the wrong side of their threshold: a derivative's sign flipped,
-# F mirrored through -1.  find_inflection reads _g_first too, for its Newton
-# slope; with a wrong slope the first step leaves (lambda*, m), and the steps
-# stop at lambda*, far from the root.  lambda* lies in (1, m-1) too, so
-# inflection_in_open_interval moves but still passes
-WRONG = {"gamma_first": (("gamma_nonincreasing",), np.negative),
-         "r_first": (("r_nondecreasing", "tangent_slope"), np.negative),
+class TestRowsAreThePublicFunctions:
+    # certify_proof reads core's kernels, not the public functions, so each row
+    # is held to the public functions at its point, bit for bit: what it
+    # certifies is what users call
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 10**3, 10**6, 10**12, 2**40])
+    def test_rows_equal_the_public_functions(self, m):
+        rep = certify_proof(m)
+        got = {c.name: c.measured for c in rep.checks}
+        want = {"gamma_at_one": abs(gamma_value(1.0, m) - 1.0),
+                "gamma_at_m": abs(gamma_value(float(m), m) - 1.0 / m),
+                "r_at_one": abs(r_value(1.0, m)),
+                "r_at_m": abs(r_value(float(m), m) - np.log2(m)),
+                "r_second_positive_left_edge": r_second(1.0 + 1e-6, m),
+                "f_endpoints": max(abs(f_value(1.0, m) + 2.0),
+                                   abs(f_value(m - 1.0, m) + 2.0))}
+        if m >= 3:
+            log_ratio = np.log((m - 2.0) / (2.0 * (m - 1.0)))
+            gm1, rpp_m1 = g_value(m - 1.0, m), r_second(m - 1.0, m)
+            tangent = find_tangent(m, base="natural")
+            want.update(
+                g_at_m_minus_one_closed_form=abs(gm1 - 2.0 * log_ratio),
+                r_second_at_m_minus_one_closed_form=abs(
+                    rpp_m1 + (log_ratio + 1.0) / (m - 1.0)),
+                tangent_slope=abs(r_first(tangent.lambda_star, m, base="natural")
+                                  - tangent.slope))
+        if m >= 5:
+            f0, res = big_f_value(0.0, m), find_inflection(m)
+            want.update(g_at_m_minus_one_above_minus_two=gm1,
+                        r_second_negative_at_m_minus_one=rpp_m1,
+                        big_f_at_zero_closed_form=abs(f0 - log_ratio),
+                        big_f_at_zero_lower_bound=f0, big_f_above_minus_one=f0,
+                        inflection_residual=res.residual,
+                        inflection_in_open_interval=res.lambda0)
+        for name, value in want.items():
+            assert got[name] == value, name
+        for c in rep.checks:
+            assert type(c.passed) is bool and type(c.measured) is float, c.name
+
+
+# each kernel certify_proof reads for a sign or identity check, the checks that
+# read it, and a value on the wrong side of their threshold: a derivative's or
+# g's sign flipped, R shifted by 1e-9, f stretched tenfold, A set to 0 (log A =
+# -inf), B doubled and F mirrored through -1.  find_inflection reads _g, _f and
+# _g_first too; with a wrong g - f or a wrong slope the steps stop at lambda*,
+# far from the root, which lies in (1, m-1) too: inflection_in_open_interval
+# moves but still passes.  A wrong g moves g(m-1) and R''(m-1) without taking
+# them past -2 and 0 (MOVED)
+F_CHECKS = ("big_f_at_zero_closed_form", "big_f_at_zero_lower_bound", "big_f_above_minus_one")
+WRONG = {"_gp": (("gamma_nonincreasing", "r_nondecreasing", "tangent_slope"), np.negative),
+         "_g": (("r_nondecreasing", "r_second_positive_left_edge",
+                 "g_at_m_minus_one_closed_form", "r_second_at_m_minus_one_closed_form",
+                 "tangent_left_of_inflection", "tangent_slope", "inflection_residual"),
+                np.negative),
+         "_r": (("r_at_one", "r_at_m"), lambda r: r + 1e-9),
+         "_rpp": (("r_second_positive_left_edge", "r_second_at_m_minus_one_closed_form",
+                   "r_second_negative_at_m_minus_one"), np.negative),
+         "_f": (("f_endpoints", "tangent_left_of_inflection", "inflection_residual"),
+                lambda f: 10.0 * f),
          "_f_second": (("f_convex",), np.negative),
          "_g_first": (("g_increasing", "inflection_residual", "a_increasing"), np.negative),
-         "a_value": (("a_increasing",), np.negative),
-         "big_f_value": (("big_f_at_zero_closed_form", "big_f_at_zero_lower_bound",
-                          "big_f_above_minus_one"), lambda f: -2.0 - f)}
-MOVED = {"_g_first": ("inflection_in_open_interval",)}
+         "_a": ((*F_CHECKS, "a_increasing"), lambda a: 0.0 * a),
+         "_b": (F_CHECKS, lambda b: 2.0 * b),
+         "_big_f": (F_CHECKS, lambda f: -2.0 - f)}
+MOVED = {"_g": ("g_at_m_minus_one_above_minus_two", "r_second_negative_at_m_minus_one",
+                "inflection_in_open_interval"),
+         "_f": ("inflection_in_open_interval",),
+         "_g_first": ("inflection_in_open_interval",)}
+# at m = 10**6 the clean report already fails g_at_m_minus_one_closed_form (g(m-1)
+# loses about m eps), so a wrong _g cannot fail it there: _g is held at 2, 3 and 5
+CORRUPTED = [(m, name) for m in (2, 3, 5, 10**6) for name in WRONG
+             if (m, name) != (10**6, "_g")]
 
 
 class TestCorruptedRows:
-    @pytest.mark.parametrize("name", WRONG)
-    @pytest.mark.parametrize("m", [2, 3, 5, 10**6])
+    @pytest.mark.parametrize("m, name", CORRUPTED)
     def test_only_the_checks_that_read_it_fail(self, monkeypatch, m, name):
         readers, wrong = WRONG[name]
         clean = certify_proof(m).checks
@@ -337,9 +394,9 @@ class TestCorruptedRows:
                 assert bad == good, bad.name
 
 
-class TestWorkspace:
-    # certify_proof's working memory: the report does not depend on what ran
-    # before it, in this thread or another, and a warm call faults no page
+class TestCallIndependence:
+    # the report does not depend on what ran before it, in this thread or
+    # another, and a warm call faults no page
 
     def test_interleaved_calls_match_first_calls(self):
         ms = [2, 3, 5, 64, 10**6, 10**12, 2**40]
@@ -375,11 +432,10 @@ class TestWorkspace:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="minor page faults are counted as on Linux")
     def test_warm_calls_fault_no_pages(self):
-        # arrays freed per call are trimmed from the heap and faulted back in on
-        # the next call (80-300 minor faults per call for a few 10**4-point
-        # arrays).  A fresh interpreter, since one whose heap other tests have
-        # grown trims nothing; the dimensions are the benchmark's certify_sweep,
-        # after a warm-up pass
+        # a warm call allocates no memory that the heap must fault back in: a
+        # certificate is a few scalar kernel calls and a list of rows.  A fresh
+        # interpreter, since one whose heap other tests have grown hides that;
+        # the dimensions are the benchmark's certify_sweep, after a warm-up pass
         script = ("import resource\n"
                   "from rfunc import certify_proof\n"
                   "dims = list(range(2, 65)) + [10**3, 10**4, 10**5, 10**6]\n"
