@@ -131,24 +131,15 @@ def find_inflection(m) -> InflectionResult:
     return InflectionResult(lam, it, abs(diff))
 
 
-def _lambda_ends(m: int) -> tuple[float, float]:
-    """The ends of ``rfunc table``'s lambda grid in (1, m); the certifier reads gamma', R' there."""
-    return 1.0 + TOL.grid_left_offset, m - TOL.grid_right_offset
-
-
-def _lambda_grid(m: int, n: int) -> np.ndarray:
-    """The n-point lambda grid of ``rfunc table``."""
-    return np.linspace(*_lambda_ends(m), n)
-
-
-# Past 2**40 the lambda grid's right end m - TOL.grid_right_offset rounds to m, where R' is singular
-_CERTIFY_M_MAX = 2**40
+# past 2**53, m and m - 1 are not both doubles: the m - 1 rows would read another lambda
+_CERTIFY_M_MAX = 2**53
 
 
 def _certify_m(m) -> int:
     m = check_dimension(m)
     if m > _CERTIFY_M_MAX:
-        raise DomainError(f"the lambda grid needs m <= {_CERTIFY_M_MAX}, got {m}")
+        raise DomainError(f"the certifier needs m and m - 1 exact in doubles, "
+                          f"m <= {_CERTIFY_M_MAX}, got {m}")
     return m
 
 
@@ -161,7 +152,7 @@ def _at(lam, m):
 
 
 def certify_proof(m) -> CertificateReport:
-    """Run every endpoint identity and closed-form check for one m <= 2**40 = 1,099,511,627,776.
+    """Run every endpoint identity and closed-form check for one m <= 2**53.
 
     m is checked once, by ``_certify_m`` (``find_inflection``, for m >= 5,
     repeats only its one comparison).  Each row then reads ``core``'s kernels
@@ -197,19 +188,18 @@ def certify_proof(m) -> CertificateReport:
     identity("r_at_one", "R(1) = 0", abs(_r(x_one, m, _MATH) * LOG2E))
     identity("r_at_m", "R(m) = log2(m)", abs(_r(x_m, m, _MATH) * LOG2E - np.log2(m)))
 
-    # gamma'' < 0, so gamma' is largest at the left end; R' = gamma' g rises, then
-    # falls (R'' changes sign once at most), so it is least at an end.  A NaN fails both
-    left, right = _lambda_ends(m)
-    at_left, at_right = _at(left, m), _at(right, m)
-    high = _gp(*at_left)
-    rep.add("gamma_nonincreasing", "gamma' <= 0 on [1, m]", high, 0.0, high <= 0.0)
-    low = np.minimum(high * _g(*at_left), _gp(*at_right) * _g(*at_right))
+    # gamma' = -sqrt(gamma)(lambda-1)/(w sqrt(lambda(m-lambda))) has the sign of 1 - lambda,
+    # and g <= 0 on [1, m] is gamma >= 1/m = gamma(m) (that row and gamma_at_m), so
+    # R' = gamma' g >= 0: both are read at the edge point of R'' below.  A NaN fails both
+    at_edge = _at(1.0 + 1e-6, m)
+    gp_edge, g_edge = _gp(*at_edge), _g(*at_edge)
+    rep.add("gamma_nonincreasing", "gamma' <= 0 on [1, m]", gp_edge, 0.0, gp_edge <= 0.0)
+    low = gp_edge * g_edge
     rep.add("r_nondecreasing", "R' = gamma' g >= 0 on [1, m]", low, 0.0, low >= 0.0)
 
     # R'' is positive just right of 1 (the divergence there is logarithmic,
     # so "large" cannot mean more than a few tens in double precision).
-    at_edge = _at(1.0 + 1e-6, m)
-    edge = _rpp(*at_edge[:3], _g(*at_edge))
+    edge = _rpp(*at_edge[:3], g_edge)
     rep.add("r_second_positive_left_edge", "R''(1 + 1e-6) > 0",
             edge, 0.0, edge > 0.0)
 

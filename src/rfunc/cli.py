@@ -16,9 +16,12 @@ import json
 import os
 import sys
 
-from .analysis import _CERTIFY_M_MAX, _certify_m, _lambda_grid, certify_proof, hull_value
+import numpy as np
+
+from .analysis import _CERTIFY_M_MAX, _certify_m, certify_proof, hull_value
 from .core import (
     BASES,
+    check_dimension,
     convert_base,
     f_value,
     g_value,
@@ -33,6 +36,9 @@ EXIT_OK = 0
 EXIT_CERTIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+_GRID_LEFT_OFFSET = 1e-6   # rfunc table's lambda grid: clear of the log divergence at 1
+_GRID_RIGHT_OFFSET = 1e-4  # and of the cancellation near m
 
 # which -> fn(lam, m, base); gamma, g and f are not entropies and ignore base
 _EVAL = {
@@ -75,10 +81,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    m = _certify_m(args.m)  # the lambda grid's m <= 2**40
+    m = check_dimension(args.m)
+    right = m - _GRID_RIGHT_OFFSET
+    if not right < float(m):  # in doubles (none holds 2**53 + 1): m <= 2**40
+        raise ValueError(f"m = {m} is too large for the lambda grid: "
+                         f"its right end m - {_GRID_RIGHT_OFFSET:g} rounds to m")
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
-    grid = _lambda_grid(m, args.grid)
+    grid = np.linspace(1.0 + _GRID_LEFT_OFFSET, right, args.grid)
     base = args.log
     rows = zip(grid, r_value(grid, m, base=base),
                convert_base(r_second(grid, m), base),
@@ -128,12 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="run the proof certifier")
     p_cert.add_argument("--m", required=True,
-                        help=f"dimension or inclusive range a..b; m <= {_CERTIFY_M_MAX}")
+                        help=f"dimension or inclusive range a..b; m <= {_CERTIFY_M_MAX} (2**53)")
     p_cert.set_defaults(func=_cmd_certify)
 
     p_table = sub.add_parser("table", help="emit a CSV table of R, R'' and the envelope")
     p_table.add_argument("--m", type=int, required=True,
-                         help=f"dimension, 2 <= m <= {_CERTIFY_M_MAX}")
+                         help="dimension m >= 2 whose grid end m - 1e-4 is below m (m <= 2**40)")
     p_table.add_argument("--grid", type=int, default=1000)
     p_table.add_argument("--output", default=None)
     add_log(p_table)

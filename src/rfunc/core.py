@@ -64,8 +64,6 @@ class Tolerances:
 
     endpoint: float = 1e-12          # slack for lambda at the domain endpoints
     inflection_residual: float = 1e-10   # |g - f| at the reported inflection
-    grid_left_offset: float = 1e-6   # guard against the log divergence at 1
-    grid_right_offset: float = 1e-4  # guard against cancellation near m
 
 
 TOL = Tolerances()

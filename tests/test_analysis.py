@@ -28,7 +28,6 @@ from rfunc import (
     r_second,
 )
 from rfunc import InflectionResult, analysis
-from rfunc.analysis import _CERTIFY_M_MAX, _lambda_ends
 from rfunc.core import _MATH, _f_second, _g_first, _wx
 
 
@@ -247,24 +246,23 @@ class TestCertifyProof:
         # the order is the order of the checks printed by `rfunc certify`
         assert [c.name for c in certify_proof(m).checks] == names
 
-    @pytest.mark.parametrize("m", [2**k for k in range(38, 54)] + [2**53 + 1, 10**17 + 1])
+    @pytest.mark.parametrize("m", [2**k for k in range(38, 54)]
+                             + [2**53 - 1, 2**53 + 1, 10**17 + 1])
     def test_large_m_rejected_or_without_warnings(self, m):
-        # past m = 2**40 the lambda grid's right end m - 1e-4, where the
-        # certifier reads R', rounds to m, where R' is singular; such an m is
-        # refused before any work.  No float holds 2**53 + 1 or 10**17 + 1: the
-        # bound is compared as an int
+        # up to 2**53 every row runs without a warning, and only the g(m-1)
+        # identity may fail (it loses about m eps).  Past 2**53, m and m - 1
+        # are not both doubles, so such an m is refused before any work.  No
+        # float holds 2**53 + 1 or 10**17 + 1: the bound is compared as an int
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if m > 2**40:
-                with pytest.raises(DomainError, match=f"m <= {2**40}, got {m}$"):
+            if m > 2**53:
+                with pytest.raises(DomainError, match=f"m <= {2**53}, got {m}$"):
                     certify_proof(m)
             else:
-                assert certify_proof(m).m == m
-
-    def test_bound_is_the_last_m_whose_grid_ends_below_m(self):
-        offset = TOL.grid_right_offset
-        assert _CERTIFY_M_MAX - offset < _CERTIFY_M_MAX
-        assert (_CERTIFY_M_MAX + 1) - offset == _CERTIFY_M_MAX + 1
+                rep = certify_proof(m)
+                assert rep.m == m
+                assert {c.name for c in rep.checks if not c.passed} <= {
+                    "g_at_m_minus_one_closed_form"}
 
     def test_json_schema(self):
         doc = json.loads(certify_proof(5).to_json())
@@ -276,16 +274,16 @@ class TestCertifyProof:
             assert isinstance(check["pass"], bool)
             assert isinstance(check["measured"], float)
 
-    @pytest.mark.parametrize("m", [2, 3, 5, 64, 10 ** 6, 10 ** 12, 2**40])
+    @pytest.mark.parametrize("m", [2, 3, 5, 64, 10 ** 6, 10 ** 12, 2**40, 2**53])
     def test_monotone_checks_measure_the_closed_forms(self, m):
         # each closed-form check reads its kernel at the analytic worst point
         # (README, "The lemma"), bit for bit, and that value is the formula of
-        # the lemma's table
-        ends = np.array(_lambda_ends(m))
+        # the lemma's table; the two sign rows read the edge point of R''
+        edge = 1.0 + 1e-6
         lam_g = 0.5 * (m + np.sqrt(m))
         got = {c.name: c.measured for c in certify_proof(m).checks}
-        assert got["gamma_nonincreasing"] == gamma_first(ends, m)[0]
-        assert got["r_nondecreasing"] == r_first(ends, m, base="natural").min()
+        assert got["gamma_nonincreasing"] == gamma_first(edge, m)
+        assert got["r_nondecreasing"] == r_first(edge, m, base="natural")
         assert got["f_convex"] == _f_second(m / 2, m, _MATH)
         formulas = {"f_convex": 4.0 / (m * np.sqrt(m - 1.0)),
                     "unique_inflection": -4.0 / (m * np.sqrt(m - 1.0))}
@@ -307,7 +305,7 @@ class TestRowsAreThePublicFunctions:
     # certify_proof reads core's kernels, not the public functions, so each row
     # is held to the public functions at its point, bit for bit: what it
     # certifies is what users call
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 10**3, 10**6, 10**12, 2**40])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 10**3, 10**6, 10**12, 2**40, 2**53])
     def test_rows_equal_the_public_functions(self, m):
         rep = certify_proof(m)
         got = {c.name: c.measured for c in rep.checks}
@@ -392,6 +390,21 @@ class TestCorruptedRows:
                 assert bad.passed, bad.name
             else:
                 assert bad == good, bad.name
+
+    # at large m every corrupted kernel still fails a row the clean report
+    # passes, though not always each of its readers: an absolute 1e-12 bound on
+    # R''(m-1) ~ 0.31/m passes a negated _rpp from 10**12 up.  The clean report
+    # passes at 2**40 and 2**53; at 10**12 it fails the g(m-1) identity alone
+    @pytest.mark.parametrize("m", [10**12, 2**40, 2**53])
+    @pytest.mark.parametrize("name", WRONG)
+    def test_large_m_reports_keep_their_teeth(self, monkeypatch, m, name):
+        wrong, clean = WRONG[name][1], certify_proof(m)
+        assert clean.overall == (m != 10**12)
+        right = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *args, **kw: wrong(right(*args, **kw)))
+        got = certify_proof(m)
+        assert not got.overall
+        assert any(good.passed and not bad.passed for bad, good in zip(got.checks, clean.checks))
 
 
 class TestCallIndependence:

@@ -89,8 +89,8 @@ class TestCertify:
         assert code == 2 and out == ""
         assert "empty range" in err
 
-    @pytest.mark.parametrize("m", [str(2**40 + 1), str(2**53 + 1), f"{2**40 - 776}..{2**40 + 1}"],
-                             ids=["2**40+1", "2**53+1", "range-across"])
+    @pytest.mark.parametrize("m", [str(2**53 + 1), str(10**17 + 1), f"{2**53 - 992}..{2**53 + 1}"],
+                             ids=["2**53+1", "10**17+1", "range-across"])
     def test_dimension_past_certify_limit_exit_2(self, capsys, monkeypatch, m):
         # refused before any certificate is built, for a range that crosses the bound too
         def certify_proof(m):
@@ -98,7 +98,8 @@ class TestCertify:
         monkeypatch.setattr(cli, "certify_proof", certify_proof)
         code, out, err = run(capsys, "certify", "--m", m)
         assert code == 2 and out == ""
-        assert err == f"error: the lambda grid needs m <= {2**40}, got {m.split('..')[-1]}\n"
+        assert err == ("error: the certifier needs m and m - 1 exact in doubles, "
+                       f"m <= {2**53}, got {m.split('..')[-1]}\n")
 
     def test_grid_option_is_a_usage_error(self, capsys):
         # the certifier samples no grid; rfunc table keeps its --grid
@@ -138,13 +139,13 @@ class TestTable:
 
     def test_csv_round_trip(self, capsys, tmp_path):
         from rfunc import hull_value, r_second, r_value
-        from rfunc.core import TOL, convert_base
+        from rfunc.core import convert_base
         path = tmp_path / "table.csv"
         code, _, _ = run(capsys, "table", "--m", "4", "--grid", "50",
                          "--output", str(path))
         assert code == 0
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        lam = np.linspace(1 + TOL.grid_left_offset, 4 - TOL.grid_right_offset, 50)
+        lam = np.linspace(1 + cli._GRID_LEFT_OFFSET, 4 - cli._GRID_RIGHT_OFFSET, 50)
         direct = np.column_stack([lam, r_value(lam, 4),
                                   convert_base(r_second(lam, 4), "two"),
                                   hull_value(lam, 4)])
@@ -184,7 +185,8 @@ class TestTable:
     def test_dimension_past_grid_limit_exit_2(self, capsys, m):
         code, out, err = run(capsys, "table", "--m", str(m), "--grid", "3")
         assert code == 2 and out == ""
-        assert err == f"error: the lambda grid needs m <= {2**40}, got {m}\n"
+        assert err == (f"error: m = {m} is too large for the lambda grid: "
+                       "its right end m - 0.0001 rounds to m\n")
 
 
 class TestEof:

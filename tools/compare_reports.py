@@ -13,7 +13,7 @@ does and 2 when a tree cannot be run.  The worktree is always removed.
 
 SPEC is a comma-separated list whose items are an integer (``10**6`` is
 allowed) or a range ``lo..hi``.  The default covers 2..5000, 10**k for
-k = 4..300, 2**40 - 1, 2**40 and 2**33 + 7.
+k = 4..300, 2**40 - 1, 2**40, 2**33 + 7, 2**53 - 1 and 2**53.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import tempfile
 from pathlib import Path
 
 HEAD = Path(__file__).resolve().parent.parent
-DEFAULT_M = list(range(2, 5001)) + [10**k for k in range(4, 301)] + [2**40 - 1, 2**40, 2**33 + 7]
+DEFAULT_M = (list(range(2, 5001)) + [10**k for k in range(4, 301)]
+             + [2**40 - 1, 2**40, 2**33 + 7, 2**53 - 1, 2**53])
 
 CHILD = r"""
 import json, sys
