@@ -8,6 +8,7 @@ for one dimension is shown at the end.  The script exits 1 if any dimension
 fails.
 """
 
+import json
 import sys
 
 from rfunc import certify_proof
@@ -26,7 +27,7 @@ print()
 print("all dimensions certified" if not failures else f"failures at m = {failures}")
 print()
 print("full report for m = 5:")
-print(reports[5].to_json(indent=2))
+print(json.dumps(reports[5].to_dict(), indent=2))
 
 if failures:
     sys.exit(1)

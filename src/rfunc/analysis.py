@@ -15,14 +15,13 @@ function it stands for.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import _MATH, _a, _args, _b, _big_f, _f, _f_second, _g, _g_first, _gp, _r, _rpp, _wx
-from .core import LOG2E, TOL, DomainError, check_dimension, convert_base
+from .core import LOG2E, DomainError, check_dimension, convert_base
 
 __all__ = [
     "InflectionResult",
@@ -95,9 +94,6 @@ class CertificateReport:
             "overall": self.overall,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def find_inflection(m) -> InflectionResult:
     """Locate the unique zero lambda0 of R'' in (1, m); ``None`` at m = 2, where g < f.
@@ -144,6 +140,7 @@ def _certify_m(m) -> int:
 
 
 _LOG_3_8 = np.log(3.0 / 8.0)  # F(0) at m = 5, the least m whose F(0) > -1
+_INFLECTION_RESIDUAL = 1e-10  # |g - f| at lambda0 that the certificate accepts
 
 
 def _at(lam, m):
@@ -256,8 +253,7 @@ def certify_proof(m) -> CertificateReport:
     if m >= 5:
         res = find_inflection(m)
         rep.add("inflection_residual", "|g(lambda0) - f(lambda0)| < 1e-10",
-                res.residual, TOL.inflection_residual,
-                res.residual < TOL.inflection_residual)
+                res.residual, _INFLECTION_RESIDUAL, res.residual < _INFLECTION_RESIDUAL)
         rep.add("inflection_in_open_interval", "lambda0 in (1, m-1)",
                 res.lambda0, float(m - 1),
                 1.0 < res.lambda0 < m - 1.0)

@@ -17,7 +17,6 @@ that need w or x = 1 - gamma take them from one ``_wx`` call per public call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from types import SimpleNamespace
 
@@ -26,8 +25,6 @@ import numpy as np
 __all__ = [
     "BASES",
     "DomainError",
-    "Tolerances",
-    "TOL",
     "LOG2E",
     "check_dimension",
     "check_lambda",
@@ -52,21 +49,11 @@ LOG2E = float(np.log2(np.e))
 
 BASES = ("two", "natural")
 _M_FAST = 2**1000  # a plain int m in [2, _M_FAST) needs no float range check
+_ENDPOINT_SLACK = 1e-12  # lambda and binary_entropy's argument may pass their ends by this
 
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the function."""
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central record of the numerical tolerances used across the library."""
-
-    endpoint: float = 1e-12          # slack for lambda at the domain endpoints
-    inflection_residual: float = 1e-10   # |g - f| at the reported inflection
-
-
-TOL = Tolerances()
 
 
 def _out(x):
@@ -115,7 +102,7 @@ def _holds_bool(x, _seqs=(list, tuple)) -> bool:
 
 
 def check_lambda(lam, m):
-    """Validate a real lambda (see ``_real``) in [1, m]; clip it within TOL.endpoint of an end."""
+    """Validate a real lambda (see ``_real``) in [1, m], within _ENDPOINT_SLACK; clip it."""
     return _clip(lam, check_dimension(m))
 
 
@@ -124,7 +111,7 @@ def _clip(lam, m):
     if type(lam) is float and 1.0 <= lam <= m:
         return lam
     lam = _real(lam, "lambda")
-    _require((1.0 - TOL.endpoint <= lam) & (lam <= m + TOL.endpoint),  # NaN fails
+    _require((1.0 - _ENDPOINT_SLACK <= lam) & (lam <= m + _ENDPOINT_SLACK),  # NaN fails
              "lambda outside domain [1, {}]", m)
     if type(lam) is float:  # a scalar stays off numpy
         return min(max(lam, 1.0), float(m))
@@ -172,7 +159,7 @@ def _h2(p, xp):
 def binary_entropy(x, base: str = "two"):
     """Binary entropy -x log x - (1-x) log(1-x) of a real x (see ``_real``); 0 log 0 := 0."""
     x = _real(x, "binary_entropy argument")
-    _require((-TOL.endpoint <= x) & (x <= 1.0 + TOL.endpoint),  # NaN fails too
+    _require((-_ENDPOINT_SLACK <= x) & (x <= 1.0 + _ENDPOINT_SLACK),  # NaN fails too
              "binary_entropy argument outside [0, 1]")
     return _out(convert_base(_h2(np.clip(x, 0.0, 1.0), np), base))
 

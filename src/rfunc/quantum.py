@@ -293,8 +293,7 @@ def dump_state(rho: DensityMatrix, target) -> None:
     """Write a state in the JSON interchange format accepted by load_state."""
     doc = {
         "dims": [int(rho.dims[0]), int(rho.dims[1])],
-        "matrix": [[[float(z.real), float(z.imag)] for z in row]
-                   for row in rho.matrix],
+        "matrix": np.stack((rho.matrix.real, rho.matrix.imag), axis=-1, dtype=float).tolist(),
     }
     if hasattr(target, "write"):
         json.dump(doc, target)

@@ -11,7 +11,6 @@ import pytest
 from conftest import hull_oracle
 
 from rfunc import (
-    TOL,
     DomainError,
     a_value,
     big_f_value,
@@ -79,7 +78,7 @@ class TestFindInflection:
             res = find_inflection(m)
         assert 1.0 < res.lambda0 < m - 1.0
         resid = abs(g_value(res.lambda0, m) - f_value(res.lambda0, m))
-        assert resid <= TOL.inflection_residual
+        assert resid <= analysis._INFLECTION_RESIDUAL
 
     @pytest.mark.parametrize("m, most", [(m, 20) for m in (3, 4, 5, 10, 64, 10**3, 10**5, 10**6)]
                              + [(2**40, 10), (10**100, 20), (10**300, 70)])
@@ -192,7 +191,7 @@ class TestTangentRows:
             warnings.simplefilter("error")
             res = find_inflection(m)
         assert 4.0 * (m - 1) / m <= res.lambda0 < m
-        assert res.residual > TOL.inflection_residual
+        assert res.residual > analysis._INFLECTION_RESIDUAL
 
 
 class TestNoRootRight:
@@ -265,7 +264,7 @@ class TestCertifyProof:
                     "g_at_m_minus_one_closed_form"}
 
     def test_json_schema(self):
-        doc = json.loads(certify_proof(5).to_json())
+        doc = json.loads(json.dumps(certify_proof(5).to_dict()))
         assert set(doc) == {"m", "checks", "overall"}
         assert doc["m"] == 5
         assert doc["overall"] is True

@@ -77,6 +77,32 @@ class TestBinaryEntropy:
             binary_entropy(x, base="natural") * LOG2E, rel=1e-14)
 
 
+class TestEndpointSlack:
+    """lambda and the binary_entropy argument may pass an end by 1e-12, not 2e-12."""
+
+    @pytest.mark.parametrize("m", [2, 5, 1000])
+    def test_check_lambda_clips_within_the_slack(self, m):
+        assert check_lambda(1.0 - 1e-12, m) == 1.0
+        assert check_lambda(m + 1e-12, m) == float(m)
+        got = check_lambda(np.array([1.0 - 1e-12, 2.0, m + 1e-12]), m)
+        assert got.tolist() == [1.0, 2.0, float(m)]
+
+    @pytest.mark.parametrize("m", [2, 5, 1000])
+    def test_check_lambda_rejects_past_the_slack(self, m):
+        for lam in (1.0 - 2e-12, m + 2e-12):
+            for arg in (lam, np.array([2.0, lam])):
+                with pytest.raises(DomainError):
+                    check_lambda(arg, m)
+
+    def test_binary_entropy_slack(self):
+        for x in (-1e-12, 1.0 + 1e-12):
+            got = binary_entropy(x)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        for x in (-2e-12, 1.0 + 2e-12):
+            with pytest.raises(DomainError):
+                binary_entropy(x)
+
+
 class TestGamma:
     def test_endpoint_left(self):
         assert gamma_value(1.0, 5) == 1.0
@@ -456,7 +482,7 @@ class TestCheckFastPath:
     def test_huge_m_compares_exactly(self):
         # the comparisons with an int m are exact: 2**999 lies inside
         # [1, 2**999 + 1], and the float 2**1000 + 2**948 lies above 2**1000
-        # by far more than TOL.endpoint
+        # by far more than core._ENDPOINT_SLACK
         assert check_lambda(float(2**999), 2**999 + 1) == float(2**999)
         assert check_lambda(2.0, 2**1023) == 2.0
         with pytest.raises(DomainError):

@@ -526,13 +526,24 @@ class TestIndependentReferences:
 class TestStateFileFormat:
     def test_round_trip(self):
         rng = np.random.default_rng(17)
-        rho = validate_state(random_density(rng, 2, 3), (2, 3))
-        buf = io.StringIO()
-        dump_state(rho, buf)
-        buf.seek(0)
-        loaded = load_state(buf)
-        assert loaded.dims == (2, 3)
-        assert np.allclose(loaded.matrix, rho.matrix, atol=1e-15)
+        # a -0.0 real or imaginary part is written as -0.0 and read back as one
+        z = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        z[0, 3], z[3, 0] = complex(0.0, -0.0), complex(-0.0, 0.0)
+        z[1, 2], z[2, 1] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+        for rho in (validate_state(random_density(rng, 2, 3), (2, 3)),
+                    validate_state(z, (2, 2))):
+            buf = io.StringIO()
+            dump_state(rho, buf)
+            # the text is that of the [re, im] pairs taken one entry at a time
+            pairs = [[[float(v.real), float(v.imag)] for v in row] for row in rho.matrix]
+            assert buf.getvalue() == json.dumps({"dims": list(rho.dims), "matrix": pairs})
+            buf.seek(0)
+            loaded = load_state(buf)
+            assert loaded.dims == rho.dims
+            assert np.array_equal(loaded.matrix, rho.matrix)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(loaded.matrix)),
+                                      np.signbit(part(rho.matrix)))
 
     def _load(self, doc):
         return load_state(io.StringIO(json.dumps(doc)))
