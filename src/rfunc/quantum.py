@@ -112,15 +112,18 @@ def _complex_matrix(raw) -> np.ndarray:
     a = np.asarray(raw)
     if a.dtype.kind not in "iufc" or _holds_bool(raw):
         raise StateValidationError("matrix entries must be numbers")
-    return np.asarray(a, dtype=complex)
+    mat = np.asarray(a, dtype=complex)
+    if not np.isfinite(mat).all():
+        raise StateValidationError("matrix contains non-finite entries")
+    return mat
 
 
 def validate_state(raw, dims) -> DensityMatrix:
-    """Check Hermiticity, unit trace and positivity of a raw matrix.
+    """Check the shape, Hermiticity, unit trace and positivity of a raw matrix.
 
-    ``dims`` holds two integers >= 2: a float must be integral, and a str, bytes or
-    bytearray, whose items are characters or byte values, is rejected.  The matrix
-    entries must be int, float or complex numbers, never str, bytes, bool or objects.
+    ``dims`` holds two integers >= 2: a float must be integral, and a str, bytes or bytearray,
+    whose items are characters or byte values, is rejected.  The matrix must be (m*n) x (m*n),
+    its entries finite int, float or complex numbers, never str, bytes, bool or objects.
     A matrix whose imaginary parts are all zero is checked, and its eigenvalues
     taken, on LAPACK's real drivers; the returned ``matrix`` is complex either way.
     """
@@ -137,8 +140,6 @@ def validate_state(raw, dims) -> DensityMatrix:
         raise DimensionMismatchError(
             f"matrix shape {mat.shape} does not match dims {m}x{n} "
             f"(expected {(m * n, m * n)})")
-    if not np.all(np.isfinite(mat)):
-        raise StateValidationError("matrix contains non-finite entries")
     op = _lapack_operand(mat)
     if np.max(np.abs(op - op.conj().T)) > HERMITICITY_TOL:
         raise NotHermitianError("matrix is not Hermitian")
@@ -166,15 +167,12 @@ def realign(rho: DensityMatrix) -> np.ndarray:
 
 
 def trace_norm(matrix) -> float:
-    """Sum of singular values of an arbitrary rectangular complex matrix.
+    """Sum of singular values of a rectangular matrix; entries by validate_state's rule.
 
     A matrix whose imaginary parts are all zero takes LAPACK's real SVD, and
     a wide matrix (fewer rows than columns) is handed to LAPACK transposed.
     """
-    mat = _complex_matrix(matrix)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("trace_norm requires finite entries")
-    return _nuclear_norm(_lapack_operand(mat))
+    return _nuclear_norm(_lapack_operand(_complex_matrix(matrix)))
 
 
 def lambda_of_state(rho: DensityMatrix) -> LambdaEstimate:
@@ -245,9 +243,10 @@ def _json_int(digits: str) -> int:
 def load_state(source) -> DensityMatrix:
     """Read a state from the JSON format {"dims": [m, n], "matrix": [[[re, im], ...], ...]}.
 
-    ``source`` is a path or a file object holding UTF-8 JSON.  Text that is
-    not UTF-8, nests too deeply or holds an integer of over 400 digits raises
-    StateValidationError; malformed JSON raises json.JSONDecodeError.
+    ``source`` is a path or a file object holding UTF-8 JSON.  Text that is not UTF-8, nests
+    too deeply or holds an integer of over 400 digits raises StateValidationError; malformed
+    JSON raises json.JSONDecodeError.  Checked here is only what JSON alone tells (integer
+    dims, rows of [re, im] pairs of numbers); validate_state checks the rest.
     """
     try:
         if hasattr(source, "read"):
@@ -266,22 +265,17 @@ def load_state(source) -> DensityMatrix:
     if not isinstance(doc, dict) or "dims" not in doc or "matrix" not in doc:
         raise StateValidationError('state file must contain "dims" and "matrix"')
     dims = doc["dims"]
-    if (not isinstance(dims, list) or len(dims) != 2
-            or not all(type(d) is int for d in dims)):  # JSON true is a bool, not a dimension
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):  # true is a bool
         raise DimensionMismatchError('"dims" must be a pair of integers')
     rows = doc["matrix"]
-    size = dims[0] * dims[1]
-    if not isinstance(rows, list) or len(rows) != size:
-        raise DimensionMismatchError(f"matrix must have {size} rows")
     try:
         a = np.array(rows)
     except ValueError:  # ragged rows or entries: fail the shape check
         a = np.empty(0)
-    if a.shape != (size, size, 2):
-        raise DimensionMismatchError(f"matrix must be {size} x {size} [re, im] pairs")
-    # the dtype catches strings, None and all-boolean rows; np.array reads a
-    # true among numbers as 1.0, so the rows are scanned for booleans, but
-    # only when the text holds a JSON boolean at all
+    if a.ndim != 3 or a.shape[-1] != 2:
+        raise DimensionMismatchError("matrix must be rows of [re, im] pairs")
+    # the dtype catches strings, None and all-boolean rows; np.array reads a true among
+    # numbers as 1.0, so the rows are scanned for booleans when the text holds one at all
     if a.dtype.kind not in "iuf" or (("true" in text or "false" in text)
                                      and _holds_bool(rows)):
         raise StateValidationError("matrix entries must be numbers")
@@ -291,12 +285,11 @@ def load_state(source) -> DensityMatrix:
 
 def dump_state(rho: DensityMatrix, target) -> None:
     """Write a state in the JSON interchange format accepted by load_state."""
-    doc = {
-        "dims": [int(rho.dims[0]), int(rho.dims[1])],
-        "matrix": np.stack((rho.matrix.real, rho.matrix.imag), axis=-1, dtype=float).tolist(),
-    }
+    pairs = np.stack((rho.matrix.real, rho.matrix.imag), axis=-1, dtype=float).tolist()
+    # one json.dumps: json.dump would stream through the pure-Python encoder
+    text = json.dumps({"dims": [int(rho.dims[0]), int(rho.dims[1])], "matrix": pairs})
     if hasattr(target, "write"):
-        json.dump(doc, target)
+        target.write(text)
     else:
         with open(target, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(text)

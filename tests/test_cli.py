@@ -217,7 +217,7 @@ class TestEof:
         path.write_text('{"dims": [2, 2], "matrix": [[1, 2], [3, 4]]}')
         code, _, err = run(capsys, "eof", "bound", "--state", str(path))
         assert code == 2
-        assert "matrix must have 4 rows" in err
+        assert "matrix must be rows of [re, im] pairs" in err
 
     @pytest.mark.parametrize("content, message", [
         (b'{"dims": [2, 2], "matrix": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",

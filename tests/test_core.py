@@ -17,6 +17,7 @@ from rfunc import (
     c_value,
     check_dimension,
     check_lambda,
+    convert_base,
     f_value,
     g_value,
     gamma_first,
@@ -196,6 +197,11 @@ class TestR:
         assert np.allclose(r_value(grid, m, base="two"),
                            r_value(grid, m, base="natural") * LOG2E,
                            rtol=0, atol=1e-12)
+
+    def test_unknown_base_rejected(self):
+        for call in (lambda: convert_base(1.0, "ten"), lambda: r_value(2.0, 5, base="bits")):
+            with pytest.raises(ValueError, match="log base must be one of"):
+                call()
 
     def test_first_near_one_is_small(self):
         assert 0.0 <= r_first(1.0 + 1e-9, 5, base="natural") < 1e-6

@@ -156,7 +156,7 @@ class TestTraceNorm:
     def test_nonfinite_rejected(self):
         # a NaN imaginary part must raise, not be dropped by the real-part test
         for bad in (np.inf, complex(0.0, np.nan)):
-            with pytest.raises(ValueError):
+            with pytest.raises(StateValidationError, match="non-finite"):
                 trace_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
@@ -447,9 +447,11 @@ class TestEofLowerBound:
             assert bound <= isotropic_eof(2, fid) + 1e-9
 
 
-# Two references for the EOF that do not go through the R-curve: Wootters'
-# formula on two qubits (PRL 80, 2245 (1998)) and, on a pure state, the entropy
-# of entanglement.  co(R)(Lambda) is a lower bound, so it may not exceed either.
+# Three references for the EOF that do not go through the R-curve: Wootters'
+# formula on two qubits (PRL 80, 2245 (1998)); on a pure state, the entropy of
+# entanglement; and on any state, the EOF's bound from above by the mean entropy
+# of entanglement of its eigenvectors.  co(R)(Lambda) is a lower bound, so it may
+# not exceed any of them.
 SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
 
 
@@ -493,8 +495,29 @@ def _entanglement_entropy(psi):
     return _entropy_bits(np.linalg.svd(psi, compute_uv=False) ** 2)
 
 
+def _spectral_cases():
+    """Seeded states of 2 x 2 to 4 x 4 and of every rank, as (rho, rho)."""
+    rng = np.random.default_rng(46)
+    for m in (2, 3, 4):
+        for n in range(m, 5):
+            for rank in range(1, m * n + 1):
+                for _ in range(30):
+                    g = rng.normal(size=(m * n, rank)) + 1j * rng.normal(size=(m * n, rank))
+                    mat = g @ g.conj().T
+                    rho = validate_state(mat / np.trace(mat).real, (m, n))
+                    yield rho, rho
+
+
+def _spectral_eof(rho):
+    # rho = sum_i p_i |v_i><v_i|, one decomposition among those the EOF minimizes over
+    m, n = rho.dims
+    p, vecs = np.linalg.eigh(rho.matrix)
+    return sum(pi * _entanglement_entropy(v.reshape(m, n)) for pi, v in zip(p, vecs.T) if pi > 0)
+
+
 REFERENCES = {"wootters": (_wootters_cases, _wootters_eof),
-              "pure": (_pure_cases, _entanglement_entropy)}
+              "pure": (_pure_cases, _entanglement_entropy),
+              "spectral": (_spectral_cases, _spectral_eof)}
 
 
 def _violations(bound, reference):
@@ -547,6 +570,17 @@ class TestStateFileFormat:
 
     def _load(self, doc):
         return load_state(io.StringIO(json.dumps(doc)))
+
+    def test_bytes_stream(self):
+        text = json.dumps({"dims": [2, 2], "matrix": [[[0.25 if i == j else 0.0, 0.0]
+                                                       for j in range(4)] for i in range(4)]})
+        got = load_state(io.BytesIO(text.encode()))
+        want = load_state(io.StringIO(text))
+        assert got.dims == want.dims and np.array_equal(got.matrix, want.matrix)
+
+    def test_bytes_stream_not_utf8(self):
+        with pytest.raises(StateValidationError, match="not UTF-8 text"):
+            load_state(io.BytesIO(b'\xff{"dims": [2, 2], "matrix": []}'))
 
     def test_missing_keys(self):
         with pytest.raises(StateValidationError):
