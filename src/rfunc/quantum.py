@@ -109,7 +109,10 @@ def _nuclear_norm(a: np.ndarray) -> float:
 
 
 def _complex_matrix(raw) -> np.ndarray:
-    a = np.asarray(raw)
+    try:
+        a = np.asarray(raw)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise StateValidationError("matrix is ragged: its rows differ in length") from None
     if a.dtype.kind not in "iufc" or _holds_bool(raw):
         raise StateValidationError("matrix entries must be numbers")
     mat = np.asarray(a, dtype=complex)
@@ -121,14 +124,15 @@ def _complex_matrix(raw) -> np.ndarray:
 def validate_state(raw, dims) -> DensityMatrix:
     """Check the shape, Hermiticity, unit trace and positivity of a raw matrix.
 
-    ``dims`` holds two integers >= 2: a float must be integral, and a str, bytes or bytearray,
-    whose items are characters or byte values, is rejected.  The matrix must be (m*n) x (m*n),
-    its entries finite int, float or complex numbers, never str, bytes, bool or objects.
+    ``dims`` is the ordered pair (m, n) of integers >= 2, as a tuple, a list or a 1-d array:
+    a float must be integral, and a set, dict, str, bytes or iterator is rejected.  The matrix
+    must be (m*n) x (m*n), not ragged, its entries finite int, float or complex numbers, never
+    str, bytes, bool or objects.
     A matrix whose imaginary parts are all zero is checked, and its eigenvalues
     taken, on LAPACK's real drivers; the returned ``matrix`` is complex either way.
     """
     try:
-        if isinstance(dims, (str, bytes, bytearray)):
+        if not (isinstance(dims, (tuple, list)) or isinstance(dims, np.ndarray) and dims.ndim == 1):
             raise TypeError(f"got a {type(dims).__name__}")
         m, n = map(check_dimension, dims)
     except (TypeError, ValueError) as exc:  # DomainError is a ValueError
@@ -169,10 +173,14 @@ def realign(rho: DensityMatrix) -> np.ndarray:
 def trace_norm(matrix) -> float:
     """Sum of singular values of a rectangular matrix; entries by validate_state's rule.
 
-    A matrix whose imaginary parts are all zero takes LAPACK's real SVD, and
-    a wide matrix (fewer rows than columns) is handed to LAPACK transposed.
+    A matrix that is not 2-d raises ``StateValidationError``.  A matrix whose
+    imaginary parts are all zero takes LAPACK's real SVD, and a wide matrix
+    (fewer rows than columns) is handed to LAPACK transposed.
     """
-    return _nuclear_norm(_lapack_operand(_complex_matrix(matrix)))
+    mat = _complex_matrix(matrix)
+    if mat.ndim != 2:
+        raise StateValidationError(f"matrix must be 2-d, got {mat.ndim}-d")
+    return _nuclear_norm(_lapack_operand(mat))
 
 
 def lambda_of_state(rho: DensityMatrix) -> LambdaEstimate:

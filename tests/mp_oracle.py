@@ -2,7 +2,8 @@
 
 The one place in the tests where R, gamma and their relatives are written in
 mpmath.  It imports only mpmath and the standard library: not rfunc, pytest or
-numpy.  ``mp`` is mpmath's context, for callers that need its other tools.
+numpy.  ``mp`` is mpmath's context, for callers that need its other tools;
+``close`` and ``g_minus_f`` are the helpers the tests share.
 """
 from types import SimpleNamespace
 
@@ -47,3 +48,14 @@ def at(lam, m):
             gamma_value=gam, gamma_first=g1, gamma_second=g2, r_value=r, r_first=r1,
             r_second=r2, g_value=g, f_value=-2 * mp.sqrt(lam * (m - lam) / (m - 1)),
             hull_value=hull, a_value=a, b_value=b, big_f_value=big_f)
+
+
+def g_minus_f(lam, m):
+    """g - f at (lam, m), whose root in (1, m) is the inflection lambda0."""
+    ref = at(lam, m)
+    return ref.g_value - ref.f_value
+
+
+def close(got, want, digits):
+    """Whether got agrees with want to ``digits`` significant digits."""
+    return abs(got - want) <= mp.mpf(10) ** -digits * abs(want)

@@ -1,4 +1,4 @@
-"""The comparison behind tools/compare_reports.py, without git or a child process."""
+"""The line and the comparison behind tools/compare_reports.py, and one child, without git."""
 
 import copy
 import importlib.util
@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfunc import certify_proof, find_inflection
+import rfunc
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
 _SPEC = importlib.util.spec_from_file_location("compare_reports", _PATH)
@@ -16,18 +16,9 @@ compare_reports = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_reports)
 
 
-def child_line(m):
-    # what a child prints for m, decoded
-    res = find_inflection(m)
-    doc = {"m": m, "report": certify_proof(m).to_dict(),
-           "inflection": {"lambda0": res.lambda0, "iterations": res.iterations,
-                          "residual": res.residual}}
-    return json.loads(json.dumps(doc))
-
-
 @pytest.fixture
 def base():
-    return child_line(5)
+    return json.loads(compare_reports.line(5))
 
 
 def test_identical_lines_do_not_differ(base):
@@ -59,11 +50,13 @@ def test_an_added_row_differs(base):
     assert [d[1:3] for d in got] == [("extra", "row"), ("certify_proof", "order")]
 
 
-def test_an_np_bool_pass_differs(base):
-    # equal as a dict (np.True_ == True), but json.dumps cannot encode it
-    head = copy.deepcopy(base)
-    head["report"]["checks"][0]["pass"] = np.bool_(True)
-    assert head == base
+def test_an_np_bool_pass_differs(base, monkeypatch):
+    # np.True_ == True, but json.dumps cannot encode it: the line holds its text
+    report = rfunc.certify_proof(5)
+    doc = report.to_dict()
+    doc["checks"][0]["pass"] = np.bool_(doc["checks"][0]["pass"])
+    monkeypatch.setattr(type(report), "to_dict", lambda self: doc)
+    head = json.loads(compare_reports.line(5))
     [(m, _, field, was, now)] = compare_reports.differences(base, head)
     assert (m, field, was) == (5, "pass", "true") and now.startswith('"<not JSON: ')
 
@@ -84,3 +77,11 @@ def test_another_key_order_differs(base):
 
 def test_spec():
     assert compare_reports.parse_spec("2..4,10**3, 7") == [2, 3, 4, 1000, 7]
+
+
+def test_a_child_prints_the_line():
+    # a real child on this checkout's tree; 2**53 + 1 is past the certifier's cap
+    ms = [2, 5, 10**6, 2**53 + 1]
+    got = compare_reports.run_tree(compare_reports.HEAD, ms)
+    assert got == [json.loads(compare_reports.line(m)) for m in ms]
+    assert got[-1]["report"].startswith("DomainError: ")

@@ -15,18 +15,9 @@ derives each step; these tests hold each to the oracle of ``mp_oracle``.
 import pytest
 
 mo = pytest.importorskip("mp_oracle")
-mp = mo.mp
+mp, close, g_minus_f = mo.mp, mo.close, mo.g_minus_f
 
 M_VALUES = [2, 3, 4, 5, 10, 64, 10 ** 3, 10 ** 6]
-
-
-def close(got, want, digits):
-    return abs(got - want) <= mp.mpf(10) ** -digits * abs(want)
-
-
-def g_minus_f(lam, m):
-    ref = mo.at(lam, m)
-    return ref.g_value - ref.f_value
 
 
 def lambdas(m, n):

@@ -67,11 +67,25 @@ class TestValidateState:
     @pytest.mark.parametrize("dims", [
         (2.7, 2), [2, 2.5], ("2", "2"), (b"2", 2), (True, 2), (2, np.bool_(True)),
         (np.nan, 2), (1, 4), (2, 2, 1), (2,), 4, None, (10**400, 2), (10**5000, 2),
-        (2, 2, 10**5000), b"\x02\x02", bytearray(b"\x02\x03"), "22"])
+        (2, 2, 10**5000), b"\x02\x02", bytearray(b"\x02\x03"), "22",
+        {2, 3}, frozenset({2, 3}), {2: 0, 3: 0}, (d for d in (2, 2))])
     def test_bad_dims_rejected(self, dims):
         # an int past 4300 digits cannot be printed: the message must not try
         with pytest.raises(DimensionMismatchError, match="two integers >= 2"):
             validate_state(np.eye(4) / 4.0, dims)
+
+    def test_unordered_dims_rejected(self):
+        # a set of dims has no order: {3, 2} iterates as (2, 3), which reads a
+        # 3 x 2 pure state as 2 x 3, with Lambda 1.8003 and a bound of 0.7224
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+        rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        with pytest.raises(DimensionMismatchError, match="two integers >= 2"):
+            validate_state(rho, {3, 2})
+        state = validate_state(rho, (3, 2))
+        assert state.dims == (3, 2)
+        assert lambda_of_state(state).lam == pytest.approx(1.6841, abs=1e-4)
+        assert eof_lower_bound(state) == pytest.approx(0.5718, abs=1e-4)
 
     @pytest.mark.parametrize("dims", [(2.0, 2), (np.int64(2), 2), np.array([2, 2])])
     def test_integral_dims_accepted(self, dims):
@@ -159,6 +173,12 @@ class TestTraceNorm:
             with pytest.raises(StateValidationError, match="non-finite"):
                 trace_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("raw", [1.0, [1.0, 2.0], np.ones((2, 2, 2))],
+                             ids=["0-d", "1-d", "3-d"])
+    def test_not_2d_rejected(self, raw):
+        with pytest.raises(StateValidationError, match="matrix must be 2-d"):
+            trace_norm(raw)
+
 
 # |00><00| and a mixed 2 x 2 state whose entries float32 holds exactly
 PURE = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
@@ -187,14 +207,24 @@ NUMBER_MATRICES = {
 }
 
 
+# validate_state and trace_norm, which take a matrix by the same rule
+each_intake = pytest.mark.parametrize(
+    "fn", [lambda raw: validate_state(raw, (2, 2)), trace_norm], ids=["validate_state", "trace_norm"])
+
+
 class TestMatrixEntries:
     @pytest.mark.parametrize("raw", NON_NUMBER_MATRICES.values(),
                              ids=NON_NUMBER_MATRICES.keys())
-    @pytest.mark.parametrize("fn", [lambda raw: validate_state(raw, (2, 2)), trace_norm],
-                             ids=["validate_state", "trace_norm"])
+    @each_intake
     def test_non_number_rejected(self, fn, raw):
         with pytest.raises(StateValidationError, match="matrix entries must be numbers"):
             fn(raw)
+
+    @each_intake
+    def test_ragged_rejected(self, fn):
+        # numpy's own ValueError ("inhomogeneous shape") must not escape
+        with pytest.raises(StateValidationError, match="matrix is ragged"):
+            fn(PURE[:3] + [PURE[3][:3]])
 
     @pytest.mark.parametrize("raw", NUMBER_MATRICES.values(), ids=NUMBER_MATRICES.keys())
     def test_number_taken_as_complex(self, raw):

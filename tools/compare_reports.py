@@ -4,12 +4,13 @@
 
 BASE is a git revision.  The tool checks it out in a temporary ``git
 worktree`` and runs one Python child per tree, BASE's and this checkout's,
-with ``PYTHONPATH=<tree>/src``.  For each m a child prints one JSON line: the
-``json.dumps`` of ``certify_proof(m).to_dict()`` (or the ``DomainError`` it
-raises) and of ``find_inflection(m)``'s three fields.  Every field whose JSON
-text differs between the trees is printed as ``m check field base head``,
-tab-separated.  The exit code is 0 when nothing differs, 1 when something
-does and 2 when a tree cannot be run.  The worktree is always removed.
+with ``PYTHONPATH=<tree>/src`` and this directory.  For each m a child prints
+``line(m)``, one JSON line: the ``json.dumps`` of ``certify_proof(m).to_dict()``
+(or the ``DomainError`` it raises) and of ``find_inflection(m)``'s three
+fields.  Every field whose JSON text differs between the trees is printed as
+``m check field base head``, tab-separated.  The exit code is 0 when nothing
+differs, 1 when something does and 2 when a tree cannot be run.  The
+worktree is always removed.
 
 SPEC is a comma-separated list whose items are an integer (``10**6`` is
 allowed) or a range ``lo..hi``.  The default covers 2..5000, 10**k for
@@ -26,35 +27,25 @@ import sys
 import tempfile
 from pathlib import Path
 
-HEAD = Path(__file__).resolve().parent.parent
+TOOLS = Path(__file__).resolve().parent
+HEAD = TOOLS.parent
 DEFAULT_M = (list(range(2, 5001)) + [10**k for k in range(4, 301)]
              + [2**40 - 1, 2**40, 2**33 + 7, 2**53 - 1, 2**53])
 
-CHILD = r"""
-import json, sys
-from rfunc import DomainError, certify_proof, find_inflection
 
-def not_json(value):
-    return f"<not JSON: {type(value).__name__} {value!r}>"
+def line(m) -> str:
+    """The JSON line a child prints for m, from the rfunc on its path; a value json
+    cannot encode, such as an np.bool_, is a ``"<not JSON: ...>"`` text."""
+    from rfunc import DomainError, certify_proof, find_inflection
 
-for m in json.load(sys.stdin):
     try:
         report = certify_proof(m).to_dict()
     except DomainError as exc:
         report = f"DomainError: {exc}"
     res = find_inflection(m)
     inflection = {"lambda0": res.lambda0, "iterations": res.iterations, "residual": res.residual}
-    print(json.dumps({"m": m, "report": report, "inflection": inflection}, default=not_json))
-"""
-
-
-def _not_json(value):
-    # the child's text for a value json cannot encode, such as an np.bool_
-    return f"<not JSON: {type(value).__name__} {value!r}>"
-
-
-def _text(value) -> str:
-    return json.dumps(value, default=_not_json)
+    return json.dumps({"m": m, "report": report, "inflection": inflection},
+                      default=lambda v: f"<not JSON: {type(v).__name__} {v!r}>")
 
 
 def differences(base: dict, head: dict) -> list[tuple]:
@@ -63,24 +54,25 @@ def differences(base: dict, head: dict) -> list[tuple]:
     ``base`` and ``head`` are one child line each, decoded, for the same m:
     {"m", "report", "inflection"}.  Rows are matched by name; a row on one
     side only differs in its field "row".  Values are compared as JSON text,
-    so 1 and 1.0, or True and an np.bool_, differ.
+    so 1 and 1.0 differ.
     """
     m, out = base["m"], []
 
     def note(check, field, b, h):
-        if _text(b) != _text(h):
-            out.append((m, check, field, _text(b), _text(h)))
+        b, h = json.dumps(b), json.dumps(h)
+        if b != h:
+            out.append((m, check, field, b, h))
 
     b_rep, h_rep = base["report"], head["report"]
     if isinstance(b_rep, dict) and isinstance(h_rep, dict):
         b_rows = {c["name"]: c for c in b_rep["checks"]}
         h_rows = {c["name"]: c for c in h_rep["checks"]}
-        for name in [*b_rows, *(n for n in h_rows if n not in b_rows)]:
+        for name in {**b_rows, **h_rows}:
             b_row, h_row = b_rows.get(name), h_rows.get(name)
             if b_row is None or h_row is None:
                 note(name, "row", b_row, h_row)
                 continue
-            for field in [*b_row, *(f for f in h_row if f not in b_row)]:
+            for field in {**b_row, **h_row}:
                 note(name, field, b_row.get(field), h_row.get(field))
         note("certify_proof", "order", list(b_rows), list(h_rows))
         for field in ("m", "overall"):
@@ -95,17 +87,18 @@ def differences(base: dict, head: dict) -> list[tuple]:
 
 
 def run_tree(tree: Path, ms: list[int]) -> list[dict]:
-    """Each m's decoded child line, from rfunc as ``tree/src`` holds it."""
+    """Each m's decoded ``line(m)``, from rfunc as ``tree/src`` holds it."""
     src = tree / "src"
-    done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(ms), cwd=src,
-                          env=dict(os.environ, PYTHONPATH=str(src)),
+    child = "import json, sys, compare_reports\nfor m in json.load(sys.stdin): print(compare_reports.line(m))"
+    done = subprocess.run([sys.executable, "-c", child], input=json.dumps(ms), cwd=src,
+                          env=dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{TOOLS}"),
                           capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode or len(lines) != len(ms):
         sys.stderr.write(f"{done.stderr}{tree}: the child exited {done.returncode}"
                          f" after {len(lines)} of {len(ms)} m\n")
         raise SystemExit(2)
-    return [json.loads(line) for line in lines]
+    return [json.loads(text) for text in lines]
 
 
 def parse_spec(text: str) -> list[int]:
