@@ -34,6 +34,8 @@ __all__ = [
     "hull_value",
 ]
 
+_SET = object.__setattr__  # bound once: CertificateCheck stores its fields in one __dict__ write
+
 
 @dataclass(frozen=True)
 class InflectionResult:
@@ -66,6 +68,10 @@ class CertificateCheck:
     measured: float
     threshold: float
     passed: bool
+
+    def __init__(self, name: str, claim: str, measured: float, threshold: float, passed: bool):
+        _SET(self, "__dict__", {"name": name, "claim": claim, "measured": measured,
+                                "threshold": threshold, "passed": passed})
 
 
 @dataclass
@@ -139,7 +145,7 @@ def _certify_m(m) -> int:
     return m
 
 
-_LOG_3_8 = np.log(3.0 / 8.0)  # F(0) at m = 5, the least m whose F(0) > -1
+_LOG_3_8 = float(np.log(3.0 / 8.0))  # F(0) at m = 5, the least m whose F(0) > -1
 _INFLECTION_RESIDUAL = 1e-10  # |g - f| at lambda0 that the certificate accepts
 
 
@@ -183,7 +189,7 @@ def certify_proof(m) -> CertificateReport:
     identity("gamma_at_one", "gamma(1) = 1", abs(1.0 - x_one - 1.0))
     identity("gamma_at_m", "gamma(m) = 1/m", abs(1.0 - x_m - 1.0 / m))
     identity("r_at_one", "R(1) = 0", abs(_r(x_one, m, _MATH) * LOG2E))
-    identity("r_at_m", "R(m) = log2(m)", abs(_r(x_m, m, _MATH) * LOG2E - np.log2(m)))
+    identity("r_at_m", "R(m) = log2(m)", abs(_r(x_m, m, _MATH) * LOG2E - np.log2(float(m))))
 
     # gamma' = -sqrt(gamma)(lambda-1)/(w sqrt(lambda(m-lambda))) has the sign of 1 - lambda,
     # and g <= 0 on [1, m] is gamma >= 1/m = gamma(m) (that row and gamma_at_m), so
@@ -211,7 +217,7 @@ def certify_proof(m) -> CertificateReport:
         low = _g_first(*_at(0.5 * (m + math.sqrt(m)), m))  # g' is least there: 4/(m-1)
         rep.add("g_increasing", "g' >= g'((m + sqrt(m))/2) = 4/(m-1) > 0 on (1, m)",
                 low, 0.0, low > 0.0)
-        log_ratio = np.log((m - 2.0) / (2.0 * (m - 1.0)))
+        log_ratio = float(np.log((m - 2.0) / (2.0 * (m - 1.0))))
         at_m1 = _at(float(m - 1), m)
         gm1 = _g(*at_m1)
         identity("g_at_m_minus_one_closed_form", "g(m-1) = 2 log((m-2)/(2(m-1)))",
@@ -258,8 +264,8 @@ def certify_proof(m) -> CertificateReport:
                 res.lambda0, float(m - 1),
                 1.0 < res.lambda0 < m - 1.0)
 
-        a0 = _a(0.0, m)
-        f0 = _big_f(a0, _b(0.0, m))
+        a0 = _a(0.0, m, _MATH)
+        f0 = _big_f(a0, _b(0.0, m, _MATH))
         identity("big_f_at_zero_closed_form", "F(0) = log((m-2)/(2(m-1)))",
                  abs(f0 - log_ratio))
         rep.add("big_f_at_zero_lower_bound", "F(0) >= log(3/8) > -1",

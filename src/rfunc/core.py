@@ -9,7 +9,7 @@ broadcast elementwise; a scalar argument gives a Python float.
 Each public function validates its arguments once and then calls the private
 kernels below (``_wx``, ``_g``, ...), which take a lambda (or delta) that is
 already checked and clipped and an int m, and do no checking of their own.
-The lambda kernels run over a namespace ``xp``, picked once by ``_args``:
+The lambda and delta kernels run over a namespace ``xp``, picked once by type:
 ``_MATH`` (the ``math`` module) for a float, ``np`` for an array.  Kernels
 that need w or x = 1 - gamma take them from one ``_wx`` call per public call.
 """
@@ -58,7 +58,7 @@ class DomainError(ValueError):
 
 def _out(x):
     # public functions return a float for a scalar argument
-    return x if np.ndim(x) else float(x)
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 def check_dimension(m) -> int:
@@ -146,6 +146,7 @@ def _log1p(v, _np_log1p=np.log1p):  # numpy's log1p, bound once, on a float
 # numpy's log1p (math.log1p is up to 0.64 ulp off; it moved g(m-1) at m = 21, 27)
 _MATH = SimpleNamespace(sqrt=math.sqrt, log=math.log, log1p=_log1p,
                         minimum=min, where=lambda ok, a, b: a if ok else b)
+_XP = {float: _MATH}  # the namespace by a checked argument's type; np for an array
 
 
 def _h2(p, xp):
@@ -170,7 +171,7 @@ def _args(lam, m):
     # the checked lambda, m as an int, and the namespace the kernels run on
     m = check_dimension(m)
     lam = _clip(lam, m)
-    return lam, m, (_MATH if type(lam) is float else np)
+    return lam, m, _XP.get(type(lam), np)
 
 
 def _wx(lam, m, xp):
@@ -294,19 +295,19 @@ def f_value(lam, m):
 
 # Kernels on (delta, m): delta already checked, m an int.
 
-def _c(delta, m):
-    return 1.0 / (np.sqrt(m - 1.0 + delta) + np.sqrt((m - 1.0) * (1.0 - delta)))
+def _c(delta, m, xp):
+    return 1.0 / (xp.sqrt(m - 1.0 + delta) + xp.sqrt((m - 1.0) * (1.0 - delta)))
 
 
-def _a(delta, m):
+def _a(delta, m, xp):
     # (1-gamma)/((m-1) gamma) at L = m-1+delta, from 1-gamma = ((L-1)/w)^2, 1/gamma =
     # (m C)^2 and w/(m C) = sqrt(m-1) + sqrt(L(1-delta)): no cancellation at m = 2
-    den = np.sqrt(m - 1.0) + np.sqrt((m - 1.0 + delta) * (1.0 - delta))
+    den = xp.sqrt(m - 1.0) + xp.sqrt((m - 1.0 + delta) * (1.0 - delta))
     return ((m - 2.0 + delta) / den) ** 2 / (m - 1.0)
 
 
-def _b(delta, m):
-    return np.sqrt((m - 1.0) / ((m - 1.0 + delta) * (1.0 - delta)))
+def _b(delta, m, xp):
+    return xp.sqrt((m - 1.0) / ((m - 1.0 + delta) * (1.0 - delta)))
 
 
 def _big_f(a, b):
@@ -317,19 +318,19 @@ def _big_f(a, b):
 def c_value(delta, m):
     """C(delta) = 1 / (sqrt(m-1+delta) + sqrt((m-1)(1-delta)))."""
     delta, m = check_delta(delta, m), int(m)
-    return _out(_c(delta, m))
+    return _out(_c(delta, m, _XP.get(type(delta), np)))
 
 
 def a_value(delta, m):
     """A(delta) = ((m C(delta))^2 - 1)/(m-1); equals e^g at lambda = m-1+delta."""
     delta, m = check_delta(delta, m), int(m)
-    return _out(_a(delta, m))
+    return _out(_a(delta, m, _XP.get(type(delta), np)))
 
 
 def b_value(delta, m):
     """B(delta) = sqrt((m-1)/((m-1+delta)(1-delta))); B(0) = 1, increasing."""
     delta, m = check_delta(delta, m), int(m)
-    return _out(_b(delta, m))
+    return _out(_b(delta, m, _XP.get(type(delta), np)))
 
 
 def big_f_value(delta, m):
@@ -340,4 +341,5 @@ def big_f_value(delta, m):
     is what rules out a zero of R'' right of m-1.  F is not monotone in delta.
     """
     delta, m = check_delta(delta, m), int(m)
-    return _out(_big_f(_a(delta, m), _b(delta, m)))
+    xp = _XP.get(type(delta), np)
+    return _out(_big_f(_a(delta, m, xp), _b(delta, m, xp)))

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
+import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -26,7 +30,7 @@ from rfunc import (
     r_value,
     r_second,
 )
-from rfunc import InflectionResult, analysis
+from rfunc import CertificateCheck, InflectionResult, analysis
 from rfunc.core import _MATH, _f_second, _g_first, _wx
 
 
@@ -295,6 +299,53 @@ class TestCertifyProof:
                             big_f_above_minus_one=np.log((m - 2.0) / (2.0 * (m - 1.0))))
         for name, want in formulas.items():
             assert got[name] == pytest.approx(want, rel=1e-13), name
+
+
+class TestCertificateCheck:
+    # a row is a frozen dataclass whose own __init__ stores the five fields in one
+    # __dict__ write; it keeps every behaviour of the generated one
+    FIELDS = ["name", "claim", "measured", "threshold", "passed"]
+
+    @pytest.fixture
+    def row(self):
+        return certify_proof(5).checks[0]
+
+    def test_fields_are_frozen(self, row):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.passed = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del row.measured
+        assert dataclasses.asdict(row) == dict(zip(self.FIELDS, (
+            row.name, row.claim, row.measured, row.threshold, row.passed)))
+
+    def test_replace_copies_and_changes_only_its_field(self, row):
+        same = dataclasses.replace(row)
+        assert same is not row and same == row and hash(same) == hash(row)
+        flipped = dataclasses.replace(row, passed=False)
+        assert row.passed and flipped != row
+        assert dataclasses.asdict(flipped) == {**dataclasses.asdict(row), "passed": False}
+
+    def test_pickle_and_deepcopy_round_trip(self, row):
+        for twin in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+            assert type(twin) is CertificateCheck
+            assert twin == row and hash(twin) == hash(row) and vars(twin) == vars(row)
+
+    def test_keyword_construction_and_repr(self, row):
+        values = dataclasses.astuple(row)
+        built = CertificateCheck(**dict(zip(self.FIELDS, values)))
+        assert built == row == CertificateCheck(*values)
+        assert repr(built) == "CertificateCheck({})".format(
+            ", ".join(f"{k}={v!r}" for k, v in zip(self.FIELDS, values)))
+
+    def test_signature_lists_the_five_fields(self):
+        assert list(inspect.signature(CertificateCheck).parameters) == self.FIELDS
+        assert [f.name for f in dataclasses.fields(CertificateCheck)] == self.FIELDS
+
+    def test_report_checks_stay_an_assignable_list(self):
+        rep = certify_proof(5)
+        assert type(rep.checks) is list
+        rep.checks = rep.checks[:1]
+        assert rep.to_dict()["checks"] == certify_proof(5).to_dict()["checks"][:1]
 
 
 class TestRowsAreThePublicFunctions:

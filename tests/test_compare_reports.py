@@ -76,7 +76,19 @@ def test_another_key_order_differs(base):
 
 
 def test_spec():
-    assert compare_reports.parse_spec("2..4,10**3, 7") == [2, 3, 4, 1000, 7]
+    assert compare_reports.parse_spec("2..4,10**3, 7, 9..9") == [2, 3, 4, 1000, 7, 9]
+    with pytest.raises(ValueError, match="5..2 ends below its start"):
+        compare_reports.parse_spec("2..4,5..2")
+
+
+def test_a_descending_range_is_a_usage_error(monkeypatch, capsys):
+    # "5..2" selects no m: argparse exits 2 before any git call, so no worktree
+    calls = []
+    monkeypatch.setattr(compare_reports.subprocess, "run", lambda *args, **kw: calls.append(args))
+    with pytest.raises(SystemExit) as exc:
+        compare_reports.main(["HEAD", "--m", "5..2"])
+    assert exc.value.code == 2 and calls == []
+    assert capsys.readouterr().out == ""
 
 
 def test_a_child_prints_the_line():

@@ -9,12 +9,12 @@ with ``PYTHONPATH=<tree>/src`` and this directory.  For each m a child prints
 (or the ``DomainError`` it raises) and of ``find_inflection(m)``'s three
 fields.  Every field whose JSON text differs between the trees is printed as
 ``m check field base head``, tab-separated.  The exit code is 0 when nothing
-differs, 1 when something does and 2 when a tree cannot be run.  The
-worktree is always removed.
+differs, 1 when something does and 2 on a usage error or when a tree cannot
+be run.  The worktree is always removed.
 
 SPEC is a comma-separated list whose items are an integer (``10**6`` is
-allowed) or a range ``lo..hi``.  The default covers 2..5000, 10**k for
-k = 4..300, 2**40 - 1, 2**40, 2**33 + 7, 2**53 - 1 and 2**53.
+allowed) or a range ``lo..hi`` with hi >= lo.  The default covers 2..5000,
+10**k for k = 4..300, 2**40 - 1, 2**40, 2**33 + 7, 2**53 - 1 and 2**53.
 """
 
 from __future__ import annotations
@@ -109,7 +109,10 @@ def parse_spec(text: str) -> list[int]:
     ms = []
     for item in text.split(","):
         lo, _, hi = item.partition("..")
-        ms.extend(range(integer(lo), integer(hi) + 1) if hi else [integer(lo)])
+        first, last = integer(lo), integer(hi or lo)
+        if last < first:  # an empty range is a typo: argparse exits 2
+            raise ValueError(f"{item.strip()} ends below its start")
+        ms.extend(range(first, last + 1))
     return ms
 
 
