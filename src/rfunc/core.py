@@ -6,18 +6,17 @@ all logarithms are natural; public entry points that return entropies accept a
 log2(e).  All functions accept numpy arrays for their real argument and
 broadcast elementwise; a scalar argument gives a Python float.
 
-Each public function validates its arguments once and then calls the private
-kernels below (``_wx``, ``_g``, ...), which take a lambda (or delta) that is
-already checked and clipped and an int m, and do no checking of their own.
-The lambda and delta kernels run over a namespace ``xp``, picked once by type:
-``_MATH`` (the ``math`` module) for a float, ``np`` for an array.  Kernels
+Each public function validates its arguments once, by the one intake of their
+kind (``_args`` for lambda, ``_delta_args`` for delta), then calls the private
+kernels below (``_wx``, ``_g``, ...), which do no checking of their own.  An
+intake returns the checked argument, m as an int and the kernels' namespace
+``xp``: ``_MATH`` (the ``math`` module) for a float, ``np`` for an array.  Kernels
 that need w or x = 1 - gamma take them from one ``_wx`` call per public call.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,44 +85,24 @@ def _real(x, name: str, _scalars=(int, float, np.integer, np.floating)):  # boun
     return _out(np.asarray(a, dtype=float))
 
 
-def _holds_bool(x, _seqs=(list, tuple)) -> bool:
-    # whether a list or tuple holds a bool, np.bool_ or bool array (0 or 1 to numpy)
-    # at any depth
-    level, types = [x], {type(x)}
-    while any(issubclass(t, _seqs) for t in types):
-        level = list(chain.from_iterable(s for s in level if isinstance(s, _seqs)))
-        types = set(map(type, level))
-        if bool in types or np.bool_ in types:
-            return True
-        if any(issubclass(t, np.ndarray) for t in types) and any(
-                isinstance(s, np.ndarray) and s.dtype == bool for s in level):
-            return True
-    return False
+def _holds_bool(x) -> bool:
+    # whether a list or tuple holds a bool, np.bool_ or bool array (0 or 1 to numpy) at any
+    # depth: x is not ragged, so its object layout has its nesting, and its leaves are the
+    # scalars and 0-d arrays numpy casts.  An array is not taken apart: one of numbers holds
+    # no bool, and its layout costs an object per element (state_matrices ran 2x slower)
+    return isinstance(x, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) or isinstance(v, np.ndarray) and v.dtype == bool
+        for v in np.asarray(x, dtype=object).flat)
 
 
 def check_lambda(lam, m):
     """Validate a real lambda (see ``_real``) in [1, m], within _ENDPOINT_SLACK; clip it."""
-    return _clip(lam, check_dimension(m))
-
-
-def _clip(lam, m):
-    # check_lambda on a checked m; NaN fails the first test, as it should
-    if type(lam) is float and 1.0 <= lam <= m:
-        return lam
-    lam = _real(lam, "lambda")
-    _require((1.0 - _ENDPOINT_SLACK <= lam) & (lam <= m + _ENDPOINT_SLACK),  # NaN fails
-             "lambda outside domain [1, {}]", m)
-    if type(lam) is float:  # a scalar stays off numpy
-        return min(max(lam, 1.0), float(m))
-    return np.clip(lam, 1.0, float(m))
+    return _args(lam, m)[0]
 
 
 def check_delta(delta, m):
     """Validate a real delta (see ``_real``) in [0, 1); parametrizes lambda = m - 1 + delta."""
-    check_dimension(m)
-    delta = _real(delta, "delta")
-    _require((0.0 <= delta) & (delta < 1.0), "delta outside domain [0, 1)")  # NaN fails too
-    return delta
+    return _delta_args(delta, m)[0]
 
 
 def convert_base(value, base: str):
@@ -165,14 +144,26 @@ def binary_entropy(x, base: str = "two"):
     return _out(convert_base(_h2(np.clip(x, 0.0, 1.0), np), base))
 
 
-# Kernels on (lambda, m, xp): lambda already checked and clipped, m an int.
-
 def _args(lam, m):
-    # the checked lambda, m as an int, and the namespace the kernels run on
+    # lambda in [1, m] within its slack, then clipped; NaN fails the first test, as it should
     m = check_dimension(m)
-    lam = _clip(lam, m)
+    if not (type(lam) is float and 1.0 <= lam <= m):
+        lam = _real(lam, "lambda")
+        _require((1.0 - _ENDPOINT_SLACK <= lam) & (lam <= m + _ENDPOINT_SLACK),  # NaN fails
+                 "lambda outside domain [1, {}]", m)
+        lam = min(max(lam, 1.0), float(m)) if type(lam) is float else np.clip(lam, 1.0, float(m))
     return lam, m, _XP.get(type(lam), np)
 
+
+def _delta_args(delta, m):
+    # delta in [0, 1), with no slack and no clip: kept apart from _args, not a parameter of it
+    m = check_dimension(m)
+    delta = _real(delta, "delta")
+    _require((0.0 <= delta) & (delta < 1.0), "delta outside domain [0, 1)")  # NaN fails too
+    return delta, m, _XP.get(type(delta), np)
+
+
+# Kernels on (lambda, m, xp): lambda already checked and clipped, m an int.
 
 def _wx(lam, m, xp):
     # w = sqrt((m-1)L) + sqrt(m-L), and x = 1 - gamma = (sqrt((m-1)L) -
@@ -293,7 +284,7 @@ def f_value(lam, m):
     return _f(lam, m, xp)
 
 
-# Kernels on (delta, m): delta already checked, m an int.
+# Kernels on (delta, m, xp): delta already checked, m an int.
 
 def _c(delta, m, xp):
     return 1.0 / (xp.sqrt(m - 1.0 + delta) + xp.sqrt((m - 1.0) * (1.0 - delta)))
@@ -317,20 +308,17 @@ def _big_f(a, b):
 
 def c_value(delta, m):
     """C(delta) = 1 / (sqrt(m-1+delta) + sqrt((m-1)(1-delta)))."""
-    delta, m = check_delta(delta, m), int(m)
-    return _out(_c(delta, m, _XP.get(type(delta), np)))
+    return _c(*_delta_args(delta, m))
 
 
 def a_value(delta, m):
     """A(delta) = ((m C(delta))^2 - 1)/(m-1); equals e^g at lambda = m-1+delta."""
-    delta, m = check_delta(delta, m), int(m)
-    return _out(_a(delta, m, _XP.get(type(delta), np)))
+    return _a(*_delta_args(delta, m))
 
 
 def b_value(delta, m):
     """B(delta) = sqrt((m-1)/((m-1+delta)(1-delta))); B(0) = 1, increasing."""
-    delta, m = check_delta(delta, m), int(m)
-    return _out(_b(delta, m, _XP.get(type(delta), np)))
+    return _b(*_delta_args(delta, m))
 
 
 def big_f_value(delta, m):
@@ -340,6 +328,5 @@ def big_f_value(delta, m):
     strictly above -1 on [0, 1), tending to -1 from above as delta -> 1; this
     is what rules out a zero of R'' right of m-1.  F is not monotone in delta.
     """
-    delta, m = check_delta(delta, m), int(m)
-    xp = _XP.get(type(delta), np)
+    delta, m, xp = _delta_args(delta, m)
     return _out(_big_f(_a(delta, m, xp), _b(delta, m, xp)))

@@ -61,6 +61,14 @@ def test_an_np_bool_pass_differs(base, monkeypatch):
     assert (m, field, was) == (5, "pass", "true") and now.startswith('"<not JSON: ')
 
 
+def test_a_moved_delta_value_differs(base):
+    head = copy.deepcopy(base)
+    key = "big_f_value(0.25)"
+    head["delta"][key] = np.nextafter(head["delta"][key], 0.0)
+    assert compare_reports.differences(base, head) == [
+        (5, "delta", key, json.dumps(base["delta"][key]), json.dumps(head["delta"][key]))]
+
+
 def test_a_moved_inflection_and_an_error_differ(base):
     head = copy.deepcopy(base)
     head["inflection"]["iterations"] += 1

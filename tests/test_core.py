@@ -521,10 +521,11 @@ class TestCheckFastPath:
 
 LAMBDA_FUNCTIONS = [gamma_value, gamma_first, gamma_second, r_value, r_first,
                     r_second, g_value, f_value, hull_value]
+DELTA_FUNCTIONS = [c_value, a_value, b_value, big_f_value]
 
 
 class TestScalarPath:
-    """A scalar lambda runs the kernels on math, an array on numpy."""
+    """A scalar lambda or delta runs the kernels on math, an array on numpy."""
 
     @pytest.mark.parametrize("lam", [2.5, np.float64(2.5), np.asarray(2.5)])
     def test_r_value_returns_python_float(self, lam):
@@ -539,9 +540,28 @@ class TestScalarPath:
 
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2)])
     def test_array_keeps_its_shape(self, shape):
-        for fn in LAMBDA_FUNCTIONS:
-            out = fn(np.full(shape, 2.5), 5)
+        for fn, v in [(fn, 2.5) for fn in LAMBDA_FUNCTIONS] + [(fn, 0.5) for fn in DELTA_FUNCTIONS]:
+            out = fn(np.full(shape, v), 5)
             assert isinstance(out, np.ndarray) and out.shape == shape
+
+    @pytest.mark.parametrize("delta", [0.5, np.float64(0.5), np.asarray(0.5)],
+                             ids=["float", "float64", "0-d"])
+    @pytest.mark.parametrize("fn", DELTA_FUNCTIONS)
+    def test_every_delta_function_returns_python_float(self, fn, delta):
+        assert type(fn(delta, 5)) is float
+
+    @pytest.mark.parametrize("fn", DELTA_FUNCTIONS + [check_delta])
+    def test_delta_m_spellings(self, fn):
+        # m is checked and converted once: every spelling of 5 gives the bits of m = 5
+        for delta in (0.25, np.array([0.0, 0.25, 0.5])):
+            want = fn(delta, 5)
+            for m in (np.int64(5), 5.0, np.asarray(5)):
+                got = fn(delta, m)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for m in (1, 2.5, True, "5"):
+            with pytest.raises(DomainError):
+                fn(0.25, m)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, np.float64(np.nan),
                                      0.5, 5.1, np.asarray(np.nan)])

@@ -193,6 +193,7 @@ NON_NUMBER_MATRICES = {
     "np.bool_among_numbers": [row[:3] + [np.False_] for row in PURE],
     "np.bool_array": np.array(PURE, dtype=bool),
     "bool_array_among_rows": [np.array(PURE[0], dtype=bool)] + PURE[1:],
+    "0-d_bool_array_among_numbers": [[np.asarray(True), 0, 0, 0]] + PURE[1:],
     "Fraction_object_array": np.array([[Fraction(v) for v in row] for row in PURE]),
     "str_among_numbers": [["1", 0, 0, 0]] + PURE[1:],
 }

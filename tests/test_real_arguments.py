@@ -52,6 +52,8 @@ NON_REAL = {
     "bool_in_list": lambda v: [True, v],
     "np.bool_in_tuple": lambda v: (v, np.False_),
     "bool_in_nested_list": lambda v: [[v], [True]],
+    "bool_in_tuple_in_list": lambda v: [(v, True)],
+    "0-d_bool_array_in_list": lambda v: [np.asarray(True), v],  # numpy reads it as a scalar
     "bool_array": lambda v: np.array([True, False]),
     "bool_array_in_list": lambda v: [np.array([v]), np.array([v >= 1])],  # 0 or 1, in domain
     "object_array": lambda v: np.array([v], dtype=object),

@@ -1,4 +1,4 @@
-"""Compare certify_proof reports and find_inflection results with another commit.
+"""Compare certify_proof reports, find_inflection and the delta functions with another commit.
 
     python tools/compare_reports.py BASE [--m SPEC]
 
@@ -6,11 +6,13 @@ BASE is a git revision.  The tool checks it out in a temporary ``git
 worktree`` and runs one Python child per tree, BASE's and this checkout's,
 with ``PYTHONPATH=<tree>/src`` and this directory.  For each m a child prints
 ``line(m)``, one JSON line: the ``json.dumps`` of ``certify_proof(m).to_dict()``
-(or the ``DomainError`` it raises) and of ``find_inflection(m)``'s three
-fields.  Every field whose JSON text differs between the trees is printed as
-``m check field base head``, tab-separated.  The exit code is 0 when nothing
-differs, 1 when something does and 2 on a usage error or when a tree cannot
-be run.  The worktree is always removed.
+(or the ``DomainError`` it raises), of ``find_inflection(m)``'s three fields,
+and of ``c_value``, ``a_value``, ``b_value`` and ``big_f_value`` at each delta
+of ``DELTAS`` and once on the array of them (as a list).  Every field whose
+JSON text differs between the trees is printed as ``m check field base head``,
+tab-separated; a delta value as ``m delta <function>(<delta>) base head``.
+The exit code is 0 when nothing differs, 1 when something does and 2 on a
+usage error or when a tree cannot be run.  The worktree is always removed.
 
 SPEC is a comma-separated list whose items are an integer (``10**6`` is
 allowed) or a range ``lo..hi`` with hi >= lo.  The default covers 2..5000,
@@ -31,20 +33,30 @@ TOOLS = Path(__file__).resolve().parent
 HEAD = TOOLS.parent
 DEFAULT_M = (list(range(2, 5001)) + [10**k for k in range(4, 301)]
              + [2**40 - 1, 2**40, 2**33 + 7, 2**53 - 1, 2**53])
+DELTAS = [0.0, 0.25, 0.5, 1.0 - 2.0**-20]
 
 
 def line(m) -> str:
     """The JSON line a child prints for m, from the rfunc on its path; a value json
     cannot encode, such as an np.bool_, is a ``"<not JSON: ...>"`` text."""
-    from rfunc import DomainError, certify_proof, find_inflection
+    import numpy as np
+    from rfunc import (DomainError, a_value, b_value, big_f_value, c_value, certify_proof,
+                       find_inflection)
 
-    try:
-        report = certify_proof(m).to_dict()
-    except DomainError as exc:
-        report = f"DomainError: {exc}"
+    def value(fn, *args):  # an array as a list, a DomainError as its text
+        try:
+            v = fn(*args)
+        except DomainError as exc:
+            return f"DomainError: {exc}"
+        return v.tolist() if isinstance(v, np.ndarray) else v
+
+    report = value(lambda: certify_proof(m).to_dict())
     res = find_inflection(m)
     inflection = {"lambda0": res.lambda0, "iterations": res.iterations, "residual": res.residual}
-    return json.dumps({"m": m, "report": report, "inflection": inflection},
+    deltas = {**{repr(d): d for d in DELTAS}, "array": np.array(DELTAS)}
+    delta = {f"{fn.__name__}({key})": value(fn, d, m)
+             for fn in (c_value, a_value, b_value, big_f_value) for key, d in deltas.items()}
+    return json.dumps({"m": m, "report": report, "inflection": inflection, "delta": delta},
                       default=lambda v: f"<not JSON: {type(v).__name__} {v!r}>")
 
 
@@ -52,11 +64,13 @@ def differences(base: dict, head: dict) -> list[tuple]:
     """(m, check, field, base, head) for each field whose JSON text differs.
 
     ``base`` and ``head`` are one child line each, decoded, for the same m:
-    {"m", "report", "inflection"}.  Rows are matched by name; a row on one
+    {"m", "report", "inflection", "delta"}.  Rows are matched by name; a row on one
     side only differs in its field "row".  Values are compared as JSON text,
-    so 1 and 1.0 differ.
+    so 1 and 1.0 differ; lines with the same JSON text are not taken apart.
     """
-    m, out = base["m"], []
+    m, out, whole = base["m"], [], (json.dumps(base), json.dumps(head))
+    if whole[0] == whole[1]:
+        return out
 
     def note(check, field, b, h):
         b, h = json.dumps(b), json.dumps(h)
@@ -81,8 +95,10 @@ def differences(base: dict, head: dict) -> list[tuple]:
         note("certify_proof", "report", b_rep, h_rep)
     for field in ("lambda0", "iterations", "residual"):
         note("find_inflection", field, base["inflection"].get(field), head["inflection"].get(field))
+    for key, b in base["delta"].items():
+        note("delta", key, b, head["delta"].get(key))
     if not out:  # the same fields, but not the same bytes (say, in another key order)
-        note("*", "json", base, head)
+        out.append((m, "*", "json", *whole))
     return out
 
 
